@@ -10,7 +10,6 @@ import numpy as np
 
 from lintraj import (
     BlockTable,
-    EvolutionFactors,
     accumulate_integrals_ensemble,
     builtin_homodyne_thermal,
     coherent_state,
@@ -33,7 +32,7 @@ couplings = compute_noise_couplings(spec)
 steps = int(round(t_final / dt))
 table = BlockTable(rep, dt, steps)
 blocks = table.final_blocks()
-propagator = EnsemblePropagator(EvolutionFactors.from_blocks(blocks), dim)
+propagator = EnsemblePropagator.from_blocks(blocks, dim)
 
 rho0 = coherent_state(1, dim, alpha0)
 v0 = rho0.rho.reshape(-1, order="F")

@@ -25,7 +25,7 @@ from .adjoint_kalman import (
     kalman_matrices,
     moments_to_csv,
 )
-from .errors import LintrajError
+from .errors import ConfigError, DimensionMismatch, LintrajError
 from .lie_rep import povm_blocks, rep_of_generator
 from .oracle_sme import integrate_linear_sme, integrate_me
 from .parameterization import compute_generator, compute_noise_couplings
@@ -37,8 +37,9 @@ from .povm import (
     retrodict_posterior,
 )
 from .state_engine import (
-    EvolutionFactors,
-    apply_evolution,
+    EnsemblePropagator,
+    FockDensityMatrix,
+    apply_evolution,  # noqa: F401  (bound here for perfbench's layer tracer)
     coherent_state,
     expectation,
     fock_operators,
@@ -98,6 +99,8 @@ def _write_json(path: str, payload: dict, stamp: str) -> None:
 
 
 def _initial_state(descriptor: str, n_modes: int, dim: int):
+    if dim < 2:
+        raise ConfigError(f"--fock-dim must be >= 2, got {dim}")
     kind, _, arg = descriptor.partition(":")
     if kind == "vacuum":
         return vacuum_state(n_modes, dim)
@@ -110,12 +113,24 @@ def _initial_state(descriptor: str, n_modes: int, dim: int):
         with open(arg) as fh:
             data = json.load(fh)
         rho = (np.array(data["rho_re"]) + 1j * np.array(data["rho_im"]))
-        d = int(round(np.sqrt(rho.size)))
-        from .state_engine import FockDensityMatrix
-
+        d = dim ** n_modes
+        if rho.size != d * d:
+            raise DimensionMismatch(
+                f"initial state in {arg} has {rho.size} entries; "
+                f"{n_modes} mode(s) at --fock-dim {dim} need {d * d}")
         return FockDensityMatrix(n_modes=n_modes, dim_per_mode=dim,
                                  rho=rho.reshape(d, d))
     raise LintrajError(f"unknown initial state {descriptor!r}")
+
+
+def _grid_steps(dt: float, t_final: float) -> int:
+    """Number of record slices of a sampled run; at least one."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise ConfigError(f"--dt must be a positive number, got {dt}")
+    steps = int(round(t_final / dt)) if np.isfinite(t_final) else 0
+    if steps < 1:
+        raise ConfigError(f"--t-final {t_final} is shorter than one --dt step")
+    return steps
 
 
 def _pipeline_for(spec, dt: float, steps: int):
@@ -149,15 +164,19 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     spec = spec_from_config(cfg)
     manifest, stamp = _manifest(args, cfg)
+    steps = _grid_steps(args.dt, args.t_final)
+    if args.trajectories < 1:
+        raise ConfigError(f"--trajectories must be >= 1, got {args.trajectories}")
+    rho0 = _initial_state(args.initial, spec.n_modes, args.fock_dim)
     os.makedirs(args.out, exist_ok=True)
     os.makedirs(os.path.join(args.out, "states"), exist_ok=True)
     _write_json(os.path.join(args.out, "manifest.json"), manifest, stamp)
 
-    steps = int(round(args.t_final / args.dt))
+    # record-independent work, once per ensemble
     table, couplings = _pipeline_for(spec, args.dt, steps)
     blocks = table.final_blocks()
     lpp_full = povm_blocks(blocks)
-    rho0 = _initial_state(args.initial, spec.n_modes, args.fock_dim)
+    engine = EnsemblePropagator.from_blocks(blocks, args.fock_dim)
     a_op, _, n_op = fock_operators(args.fock_dim)
 
     seeds = np.random.SeedSequence(args.seed).spawn(args.trajectories)
@@ -167,9 +186,7 @@ def cmd_simulate(args) -> int:
         record = sample_ostensible_record(spec, args.dt, args.t_final, seed=None,
                                           rng=rng)
         ints = accumulate_integrals(table, couplings, record)
-        factors = EvolutionFactors.from_blocks(blocks, ints)
-        evolved = apply_evolution(rho0, factors)
-        normalized, trace = normalize_and_trace(evolved)
+        normalized, trace = normalize_and_trace(engine.evolve_record(rho0, ints))
         d = stochastic_d(ints, lpp_full)
         row = {
             "traj": i,
@@ -227,6 +244,7 @@ def _effect_from_args(args, spec, cfg):
     if steps_hint:
         record = record_from_csv(args.record)
     else:
+        _grid_steps(args.dt, args.t_final)
         record = sample_ostensible_record(spec, args.dt, args.t_final,
                                           seed=args.seed)
     table, couplings = _pipeline_for(spec, record.dt, record.steps)
@@ -271,8 +289,17 @@ def cmd_povm(args) -> int:
             posterior = retrodict_posterior(effect)
         else:
             mean_str, _, var_str = args.retrodict.partition(":")
-            prior_mean = np.array([complex(mean_str)])
-            prior_cov = float(var_str or 1.0) * np.eye(2 * spec.n_modes)
+            try:
+                prior_mean = np.array([complex(z) for z in mean_str.split(",")])
+                prior_var = float(var_str or 1.0)
+            except ValueError as exc:
+                raise ConfigError(f"bad --retrodict prior {args.retrodict!r}: "
+                                  f"{exc}") from None
+            if prior_mean.size != spec.n_modes:
+                raise DimensionMismatch(
+                    f"--retrodict gives {prior_mean.size} prior mean(s) for "
+                    f"{spec.n_modes} mode(s)")
+            prior_cov = prior_var * np.eye(2 * spec.n_modes)
             posterior = retrodict_posterior(effect, prior_mean=prior_mean,
                                             prior_cov=prior_cov)
         payload["posterior"] = {
@@ -312,6 +339,7 @@ def cmd_me(args) -> int:
     cfg = _load_config(args.config)
     spec = spec_from_config(cfg)
     manifest, stamp = _manifest(args, cfg)
+    _grid_steps(args.dt, args.t_final)
     rho0 = _initial_state(args.initial, spec.n_modes, args.fock_dim)
     a_op, _, n_op = fock_operators(args.fock_dim)
     obs = {"n": n_op, "a": a_op} if spec.n_modes == 1 else {}
@@ -338,9 +366,8 @@ def cmd_compare(args) -> int:
     manifest, stamp = _manifest(args, cfg)
     record, blocks, ints, effect = _effect_from_args(args, spec, cfg)
     rho0 = _initial_state(args.initial, spec.n_modes, args.fock_dim)
-    factors = EvolutionFactors.from_blocks(blocks, ints)
-    evolved = apply_evolution(rho0, factors)
-    normalized, trace = normalize_and_trace(evolved)
+    engine = EnsemblePropagator.from_blocks(blocks, args.fock_dim)
+    normalized, trace = normalize_and_trace(engine.evolve_record(rho0, ints))
     oracle = integrate_linear_sme(spec, rho0, record)
     onorm, otrace = normalize_and_trace(oracle)
     tdist = trace_distance(normalized.rho, onorm.rho)
@@ -392,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retrodict", nargs="?", const="flat", default=None,
                    metavar="PRIOR",
                    help="emit the posterior; optional Gaussian prior as "
-                        "'mean:variance' (complex mean, per-component "
-                        "variance), default flat")
+                        "'mean[,mean2..]:variance' (one complex mean per "
+                        "mode, per-component variance), default flat")
     p.set_defaults(fn=cmd_povm)
 
     p = sub.add_parser("adjoint", help="backward filter and POVM crosscheck")

@@ -12,15 +12,22 @@ normal ordered.  Partner-mode (right-multiplication) operators are realized by
 Kronecker lifting onto column-stacked density matrices: A rho B maps to
 (B^T kron A) vec(rho).
 
-The three factor exponentials are applied as dense matrix exponentials for a
-single mode and as sparse exponential actions for two modes.  The
-trajectory-dependent linear factors commute with the quadratic factors of the
-same species, so ensembles can share the quadratic exponentials.
+All record-independent work lives in :class:`EnsemblePropagator`, the one
+state engine: it disentangles the quadratic part once and keeps the quadratic
+factor exponentials for every record.  The trajectory-dependent linear
+factors commute with the quadratic factors of the same species, so per record
+only their nilpotent lifts are applied.  For a single mode every term of a
+species commutes, so each factor exponential splits into D x D exponentials,
+a terminating sandwich series and, for the number factor, one small block per
+m + n sector (:func:`single_mode_exponentials`); no D^2 x D^2 matrix is ever
+exponentiated.  Two or more modes apply the sparse quadratic lifts with
+``expm_multiply``.  :func:`apply_evolution` is a one-record call into the
+engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -261,70 +268,117 @@ def evolution_superoperators(factors: EvolutionFactors, dim: int):
     return s_ann, s_num, s_cre
 
 
-def apply_evolution(rho0: FockDensityMatrix, factors: EvolutionFactors,
-                    tail_tol: float = DEFAULT_TAIL_TOL,
-                    include_scalar: bool = True) -> FockDensityMatrix:
-    """Evolved, unnormalized state.
+def _sandwich_series(c: complex, sandwich: sp.spmatrix, dim: int) -> sp.csr_matrix:
+    """exp(c * sandwich) for a nilpotent single-mode sandwich lift: the
+    Taylor series stops after dim terms on the truncation."""
+    step = (c * sandwich).tocsr()
+    term = sp.identity(dim * dim, dtype=complex, format="csr")
+    total = term
+    for k in range(1, dim):
+        term = (term @ step) / k
+        total = total + term
+    return total.tocsr()
 
-    The result carries the record-independent scalar exp(delta' + sigma) when
-    ``include_scalar`` (default); multiplying by exp(h) then gives the full
-    linear-evolution state whose trace weights the record probability.
+
+def _sector_expm(s_num: sp.spmatrix, dim: int) -> sp.csr_matrix:
+    """exp(S_num) one sector at a time: every term of the number factor keeps
+    m + n fixed, so its lift is block diagonal with blocks of at most dim."""
+    s_num = s_num.toarray()
+    k = np.arange(dim * dim)
+    sector = k % dim + k // dim     # m + n of column-stacked entry k
+    rows, cols, vals = [], [], []
+    for s in range(2 * dim - 1):
+        idx = np.flatnonzero(sector == s)
+        block = expm(s_num[np.ix_(idx, idx)])
+        rows.append(np.repeat(idx, idx.size))
+        cols.append(np.tile(idx, idx.size))
+        vals.append(block.ravel())
+    d2 = dim * dim
+    return sp.csr_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(d2, d2))
+
+
+def single_mode_exponentials(factors: EvolutionFactors, dim: int) -> list:
+    """exp(S_ann), exp(S_num), exp(S_cre) of one mode as (K, M) pairs with
+    exp(S) = kron(conj(K), K) @ M, i.e. rho -> K (M rho) K^dag.
+
+    Every term of a species commutes with the others.  The annihilation
+    factor is K = exp(L' a^2 + l_u a) with M the terminating sandwich series
+    sum_k (2 L_breve)^k / k! a^k rho a^dag^k; the creation factor is the same
+    with a^dag for a; the number factor has K = None and M its sector-block
+    exponential.  Only D x D matrices and number sectors are exponentiated.
     """
-    if rho0.n_modes != factors.n_modes:
-        raise DimensionMismatch("state and factors have different mode counts")
-    dim = rho0.dim_per_mode
-    d2 = rho0.dim ** 2
-    s_ann, s_num, s_cre = evolution_superoperators(factors, dim)
-    v = rho0.rho.reshape(-1, order="F").astype(complex)
-    if factors.n_modes == 1:
-        for s in (s_ann, s_num, s_cre):
-            v = expm(s.toarray()) @ v
-    else:
-        for s in (s_ann, s_num, s_cre):
-            v = expm_multiply(s.tocsc(), v)
-    if include_scalar:
-        v = v * np.exp(factors.log_scalar)
-    rho = v.reshape((rho0.dim, rho0.dim), order="F")
-    out = FockDensityMatrix(n_modes=rho0.n_modes, dim_per_mode=dim, rho=rho,
-                            is_normalized=False)
-    out.check_hermitian()
-    tail = out.tail_mass()
-    if tail > tail_tol:
-        raise TruncationOverflow(f"tail population {tail:.3e} > {tail_tol:.1e}")
-    return out
+    if factors.n_modes != 1:
+        raise DimensionMismatch("structured exponentials are single-mode only")
+    a, ad, _ = fock_operators(dim)
+    a_s, ad_s = sp.csr_matrix(a), sp.csr_matrix(ad)
+    ann = (expm(factors.L_prime[0, 0] * (a @ a) + factors.l_under[0] * a),
+           _sandwich_series(2.0 * factors.L_breve[0, 0], sp.kron(a_s, a_s), dim))
+    num = (None, _sector_expm(evolution_superoperators(factors, dim)[1], dim))
+    cre = (expm(factors.R_prime[0, 0] * (ad @ ad) + factors.r_under[0] * ad),
+           _sandwich_series(2.0 * factors.R_breve[0, 0], sp.kron(ad_s, ad_s), dim))
+    return [ann, num, cre]
+
+
+def _apply_exponential(K: np.ndarray | None, M: sp.spmatrix, V: np.ndarray,
+                       dim: int) -> np.ndarray:
+    """kron(conj(K), K) @ M @ V for a (dim^2, k) stack of vec(rho) columns,
+    with the Kronecker factor applied as K rho K^dag."""
+    V = M @ V
+    if K is None:
+        return V
+    R = V.reshape(dim, dim, -1, order="F")
+    R = np.einsum("ip,pqc,jq->ijc", K, R, K.conj(), optimize=True)
+    return R.reshape(dim * dim, -1, order="F")
 
 
 class EnsemblePropagator:
-    """Shared quadratic factors plus cheap per-record linear factors.
+    """The state engine: record-independent quadratic factors built once,
+    cheap per-record linear factors.
 
     The annihilation-species linear factor commutes with its quadratic factor
-    (and likewise for the creation species), so the three quadratic
-    exponentials are precomputed once; per record only nilpotent linear lifts
-    are exponentiated (their Taylor series terminates on the truncation).
+    (and likewise for the creation species), so the quadratic exponentials
+    are shared by every record; per record only nilpotent linear lifts are
+    exponentiated (their Taylor series terminates on the truncation).  One
+    mode keeps the quadratic core as a dense D^2 x D^2 matrix assembled from
+    :func:`single_mode_exponentials`; more modes keep the sparse quadratic
+    lifts and apply them with ``expm_multiply`` per record.
+
+    ``blocks`` (the propagator blocks the factors came from) is needed only
+    by :meth:`evolve_record`, which normal-orders a record's integrals.
     """
 
-    def __init__(self, factors: EvolutionFactors, dim: int):
-        base = EvolutionFactors(
-            n_modes=factors.n_modes, t=factors.t,
-            R_prime=factors.R_prime, R_breve=factors.R_breve,
-            D_under=factors.D_under, D_breve=factors.D_breve,
-            L_prime=factors.L_prime, L_breve=factors.L_breve,
-            r_under=np.zeros(factors.n_modes, dtype=complex),
-            l_under=np.zeros(factors.n_modes, dtype=complex),
-            delta_prime=factors.delta_prime, sigma=0.0,
-        )
-        self.n_modes = factors.n_modes
+    def __init__(self, factors: EvolutionFactors, dim: int,
+                 blocks: PropagatorBlocks | None = None):
+        n = factors.n_modes
+        base = replace(factors, r_under=np.zeros(n, dtype=complex),
+                       l_under=np.zeros(n, dtype=complex), sigma=0.0)
+        self.n_modes = n
         self.dim = dim
-        s_ann, s_num, s_cre = evolution_superoperators(base, dim)
-        u = expm(s_num.toarray()) @ expm(s_ann.toarray())
-        self.core = expm(s_cre.toarray()) @ u
-        d = dim ** factors.n_modes
-        a_ops = _mode_lowering(factors.n_modes, dim)
+        self.blocks = blocks
+        self.delta_prime = factors.delta_prime
+        if n == 1:
+            core = np.eye(dim * dim, dtype=complex)
+            for K, M in single_mode_exponentials(base, dim):
+                core = _apply_exponential(K, M, core, dim)
+            self.core = core
+            self._quadratic = ()
+        else:
+            self.core = None
+            self._quadratic = tuple(s.tocsc() for s in
+                                    evolution_superoperators(base, dim))
+        d = dim ** n
+        a_ops = _mode_lowering(n, dim)
         self._low_left = [_lift_left(op, d) for op in a_ops]
         self._low_right = [_lift_right(op.conj().T.tocsr(), d) for op in a_ops]
         self._raise_left = [_lift_left(op.conj().T.tocsr(), d) for op in a_ops]
         self._raise_right = [_lift_right(op, d) for op in a_ops]
-        self.delta_prime = factors.delta_prime
+
+    @classmethod
+    def from_blocks(cls, blocks: PropagatorBlocks, dim: int) -> "EnsemblePropagator":
+        """Engine for every record evolved over ``blocks``: disentangles once."""
+        return cls(EvolutionFactors.from_blocks(blocks), dim, blocks=blocks)
 
     def _exp_apply(self, mats, coeffs, v):
         X = None
@@ -342,16 +396,75 @@ class EnsemblePropagator:
                 break
         return out
 
+    def _propagate(self, v: np.ndarray, l_under: np.ndarray,
+                   r_under: np.ndarray) -> np.ndarray:
+        coeffs_l = list(l_under) + list(np.conj(l_under))
+        v = self._exp_apply(self._low_left + self._low_right, coeffs_l, v)
+        if self.core is not None:
+            v = self.core @ v
+        else:
+            for s in self._quadratic:
+                v = expm_multiply(s, v)
+        coeffs_r = list(r_under) + list(np.conj(r_under))
+        return self._exp_apply(self._raise_left + self._raise_right, coeffs_r, v)
+
     def propagate_vec(self, v0: np.ndarray, l_under: np.ndarray,
                       r_under: np.ndarray, sigma: complex) -> np.ndarray:
         """exp(S_cre) exp(S_num) exp(S_ann) on vec(rho0) for one record,
-        including the scalar exp(delta' + sigma)."""
-        coeffs_l = list(l_under) + list(np.conj(l_under))
-        v = self._exp_apply(self._low_left + self._low_right, coeffs_l, v0)
-        v = self.core @ v
-        coeffs_r = list(r_under) + list(np.conj(r_under))
-        v = self._exp_apply(self._raise_left + self._raise_right, coeffs_r, v)
-        return v * np.exp(self.delta_prime + sigma)
+        including the scalar exp(delta' + sigma).  No checks."""
+        return self._propagate(v0, l_under, r_under) * np.exp(self.delta_prime
+                                                              + sigma)
+
+    def evolve(self, rho0: FockDensityMatrix, l_under: np.ndarray,
+               r_under: np.ndarray, sigma: complex,
+               tail_tol: float = DEFAULT_TAIL_TOL,
+               include_scalar: bool = True) -> FockDensityMatrix:
+        """Evolved, unnormalized state of one record, checked for Hermiticity
+        and for tail population above ``tail_tol``.
+
+        The result carries the record-independent scalar exp(delta' + sigma)
+        when ``include_scalar`` (default); multiplying by exp(h) then gives
+        the full linear-evolution state whose trace weights the record
+        probability.
+        """
+        if rho0.n_modes != self.n_modes or rho0.dim_per_mode != self.dim:
+            raise DimensionMismatch(
+                f"state has {rho0.n_modes} mode(s) x {rho0.dim_per_mode} "
+                f"levels; engine has {self.n_modes} x {self.dim}")
+        v = self._propagate(rho0.rho.reshape(-1, order="F").astype(complex),
+                            l_under, r_under)
+        if include_scalar:
+            v = v * np.exp(self.delta_prime + sigma)
+        out = FockDensityMatrix(n_modes=self.n_modes, dim_per_mode=self.dim,
+                                rho=v.reshape((rho0.dim, rho0.dim), order="F"),
+                                is_normalized=False)
+        out.check_hermitian()
+        tail = out.tail_mass()
+        if tail > tail_tol:
+            raise TruncationOverflow(f"tail population {tail:.3e} > {tail_tol:.1e}")
+        return out
+
+    def evolve_record(self, rho0: FockDensityMatrix,
+                      integrals: TrajectoryIntegrals) -> FockDensityMatrix:
+        """:meth:`evolve` for one record's integrals (l', r'), normal-ordered
+        against the engine's blocks."""
+        if self.blocks is None:
+            raise ValueError("evolve_record needs an engine built from blocks")
+        n = self.n_modes
+        l_u, r_u = normal_order_linear(self.blocks, integrals.l_prime,
+                                       integrals.r_prime)
+        sigma = reordering_scalar(self.blocks, integrals.r_prime)
+        return self.evolve(rho0, l_u[:n], r_u[:n], sigma)
+
+
+def apply_evolution(rho0: FockDensityMatrix, factors: EvolutionFactors,
+                    tail_tol: float = DEFAULT_TAIL_TOL,
+                    include_scalar: bool = True) -> FockDensityMatrix:
+    """Evolved, unnormalized state of one record: a one-record call into
+    :class:`EnsemblePropagator` (see :meth:`EnsemblePropagator.evolve`)."""
+    engine = EnsemblePropagator(factors, rho0.dim_per_mode)
+    return engine.evolve(rho0, factors.l_under, factors.r_under, factors.sigma,
+                         tail_tol=tail_tol, include_scalar=include_scalar)
 
 
 def normalize_and_trace(state: FockDensityMatrix) -> tuple[FockDensityMatrix, float]:

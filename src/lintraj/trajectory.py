@@ -235,9 +235,8 @@ def record_to_csv(record: MeasurementRecord, path: str, header_comment: str = ""
         writer = csv.writer(fh)
         n_cols = record.y.shape[1]
         writer.writerow(["t"] + [f"y_{k + 1}" for k in range(n_cols)])
-        for j in range(record.steps):
-            writer.writerow([f"{record.times[j]:.17g}"]
-                            + [f"{v:.17g}" for v in record.y[j]])
+        for t, row in zip(record.times, record.y):
+            writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
 
 
 def record_from_csv(path: str, dt: float | None = None) -> MeasurementRecord:

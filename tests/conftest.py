@@ -69,3 +69,45 @@ def homodyne_golden_blocks(gamma, K, eta, t):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+def dense_evolution(rho0, factors):
+    """Test oracle: the unnormalized evolved state from dense expm of each
+    full D^2 x D^2 species lift (quadratic and linear parts together),
+    times exp(delta' + sigma).  Single mode only; the engine never builds
+    these exponentials."""
+    from scipy.linalg import expm
+
+    from lintraj.state_engine import evolution_superoperators
+
+    v = rho0.rho.reshape(-1, order="F").astype(complex)
+    for s in evolution_superoperators(factors, rho0.dim_per_mode):
+        v = expm(s.toarray()) @ v
+    v = v * np.exp(factors.log_scalar)
+    return v.reshape(rho0.rho.shape, order="F")
+
+
+def random_single_mode_factors(rng, t=0.5):
+    """EvolutionFactors of a random single-mode system at time t, with random
+    nonzero normal-ordered linear coefficients and sigma.
+
+    The generator comes from a random physical system (``random_spec``), not
+    from ``random_generator``: unphysical generators can make exp(S) span
+    ~15 decades, where the dense-expm oracle itself drifts to ~1e-11 relative
+    while the structured route stays near 1e-15 (both checked against a
+    60-digit Taylor series of the sparse lifts)."""
+    from dataclasses import replace
+
+    from lintraj.lie_rep import propagator_blocks, rep_of_generator
+    from lintraj.parameterization import compute_generator
+    from lintraj.state_engine import EvolutionFactors
+
+    spec = random_spec(1, int(rng.integers(1, 3)), rng)
+    blocks = propagator_blocks(rep_of_generator(compute_generator(spec)), t)
+    factors = EvolutionFactors.from_blocks(blocks)
+
+    def cpx():
+        return np.array([complex(rng.normal(), rng.normal())])
+
+    return replace(factors, l_under=cpx(), r_under=cpx(),
+                   sigma=complex(0.1 * rng.normal(), 0.1 * rng.normal()))

@@ -197,3 +197,97 @@ def test_record_roundtrip_through_povm(homodyne_config, tmp_path):
                  "--out", out]) == 0
     payload = json.loads(open(out).read())
     assert payload["closed_form_residual"] < 1e-10
+
+
+def _error_of(capsys) -> str:
+    return json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+
+
+def test_simulate_matches_dense_per_record_route(homodyne_config, tmp_path):
+    # every trajectory of the shared engine against the dense-expm oracle
+    # applied to the same record's integrals
+    import numpy as np
+
+    from conftest import dense_evolution
+    from lintraj.lie_rep import rep_of_generator
+    from lintraj.parameterization import compute_generator
+    from lintraj.state_engine import (
+        EvolutionFactors,
+        FockDensityMatrix,
+        coherent_state,
+        normalize_and_trace,
+        trace_distance,
+    )
+    from lintraj.system import builtin_homodyne_thermal
+    from lintraj.trajectory import BlockTable, TrajectoryIntegrals
+
+    dim, dt, steps = 14, 1e-3, 300
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", homodyne_config, "--seed", "5",
+                 "--dt", str(dt), "--t-final", "0.3", "--fock-dim", str(dim),
+                 "--initial", "coherent:0.4", "--trajectories", "3",
+                 "--out", str(out)]) == 0
+    spec = builtin_homodyne_thermal(1.0, 0.2, 0.8)
+    blocks = BlockTable(rep_of_generator(compute_generator(spec)), dt,
+                        steps).final_blocks()
+    rho0 = coherent_state(1, dim, 0.4)
+    payload = json.loads((out / "integrals.json").read_text())
+    for i, entry in enumerate(payload["trajectories"]):
+        ints = TrajectoryIntegrals(
+            n_modes=1, t=entry["t"],
+            l_prime=np.array(entry["l_prime_re"]) + 1j * np.array(entry["l_prime_im"]),
+            r_prime=np.array(entry["r_prime_re"]) + 1j * np.array(entry["r_prime_im"]),
+            h=complex(entry["h_re"], entry["h_im"]))
+        factors = EvolutionFactors.from_blocks(blocks, ints)
+        want, _ = normalize_and_trace(FockDensityMatrix(
+            n_modes=1, dim_per_mode=dim, rho=dense_evolution(rho0, factors),
+            is_normalized=False))
+        state = json.loads((out / "states" / f"traj_{i:04d}.json").read_text())
+        got = (np.array(state["rho_re"])
+               + 1j * np.array(state["rho_im"])).reshape(dim, dim)
+        assert trace_distance(got, want.rho) < 1e-12
+
+
+def test_simulate_rejects_initial_file_of_wrong_size(homodyne_config, tmp_path,
+                                                     capsys):
+    state = tmp_path / "rho.json"
+    state.write_text(json.dumps({"rho_re": [1.0, 0, 0, 0, 0, 0, 0, 0, 0],
+                                 "rho_im": [0.0] * 9}))
+    assert main(["simulate", "--config", homodyne_config, "--fock-dim", "12",
+                 "--t-final", "0.1", "--initial", f"file:{state}",
+                 "--out", str(tmp_path / "run")]) == 2
+    assert _error_of(capsys) == "DimensionMismatch"
+
+
+def test_simulate_rejects_zero_dt(homodyne_config, tmp_path, capsys):
+    assert main(["simulate", "--config", homodyne_config, "--dt", "0",
+                 "--out", str(tmp_path / "run")]) == 2
+    assert _error_of(capsys) == "ConfigError"
+
+
+def test_simulate_rejects_zero_trajectories(homodyne_config, tmp_path, capsys):
+    assert main(["simulate", "--config", homodyne_config, "--t-final", "0.1",
+                 "--fock-dim", "8", "--trajectories", "0",
+                 "--out", str(tmp_path / "run")]) == 2
+    assert _error_of(capsys) == "ConfigError"
+
+
+def test_povm_retrodict_prior_per_mode(tmp_path, capsys, rng):
+    from conftest import random_spec
+    from lintraj.system import spec_to_config
+
+    path = tmp_path / "n2.json"
+    path.write_text(json.dumps(spec_to_config(random_spec(2, 2, rng))))
+    out = str(tmp_path / "povm.json")
+    argv = ["povm", "--config", str(path), "--seed", "3", "--dt", "1e-3",
+            "--t-final", "0.2", "--out", out, "--retrodict"]
+    assert main(argv + ["0.3+0.1j,-0.2j:1e-9"]) == 0
+    post = json.loads(open(out).read())["posterior"]
+    # a concentrated prior dominates the data, mode by mode
+    assert abs(post["mean_re"][0] - 0.3) < 1e-3
+    assert abs(post["mean_im"][0] - 0.1) < 1e-3
+    assert abs(post["mean_re"][1]) < 1e-3
+    assert abs(post["mean_im"][1] + 0.2) < 1e-3
+    capsys.readouterr()
+    assert main(argv + ["0.3:1e-9"]) == 2
+    assert _error_of(capsys) == "DimensionMismatch"

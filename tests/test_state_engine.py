@@ -1,18 +1,25 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from lintraj import state_engine
 from lintraj.errors import DimensionMismatch, ZeroTrace
 from lintraj.lie_rep import propagator_blocks, rep_of_generator
 from lintraj.parameterization import compute_generator, compute_noise_couplings
 from lintraj.state_engine import (
+    EnsemblePropagator,
     EvolutionFactors,
     apply_evolution,
     apply_evolution_power_series,
     coherent_state,
+    evolution_superoperators,
     expectation,
     fock_operators,
     fock_state,
     normalize_and_trace,
+    single_mode_exponentials,
     trace_distance,
     vacuum_state,
 )
@@ -22,6 +29,8 @@ from lintraj.trajectory import (
     accumulate_integrals,
     sample_ostensible_record,
 )
+
+from conftest import dense_evolution, random_single_mode_factors
 
 
 def test_fock_operators_small_dims():
@@ -208,3 +217,90 @@ def test_conditioned_moments_match_forward_filter():
     assert abs(p_state - means[-1, 1]) < 1e-3
     vxx_state = float(np.real(expectation(normalized, xop @ xop))) - x_state ** 2
     assert abs(vxx_state - covs[-1, 0, 0]) < 2e-3
+
+
+@pytest.mark.parametrize("dim", [6, 12, 20])
+def test_single_mode_exponentials_match_dense_expm(dim, rng):
+    # each structured (K, M) pair against expm of the full D^2 x D^2 lift,
+    # linear terms included
+    for _ in range(3):
+        factors = random_single_mode_factors(rng)
+        dense = [expm(s.toarray()) for s in evolution_superoperators(factors, dim)]
+        for (K, M), want in zip(single_mode_exponentials(factors, dim), dense):
+            got = M.toarray() if K is None else np.kron(K.conj(), K) @ M.toarray()
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_engine_matches_dense_route(rng):
+    for dim in (6, 12, 20):
+        factors = random_single_mode_factors(rng)
+        engine = EnsemblePropagator(factors, dim)
+        rho0 = coherent_state(1, dim, 0.3 - 0.2j)
+        for _ in range(3):   # records share the engine
+            l_u, r_u = rng.normal(size=(2, 1)) + 1j * rng.normal(size=(2, 1))
+            record = replace(factors, l_under=l_u, r_under=r_u,
+                             sigma=complex(0.1 * rng.normal(), 0.1 * rng.normal()))
+            # random l_u, r_u and a complex sigma need not keep rho Hermitian,
+            # so compare the unchecked vector
+            got = engine.propagate_vec(rho0.rho.reshape(-1, order="F"),
+                                       record.l_under, record.r_under,
+                                       record.sigma)
+            want = dense_evolution(rho0, record).reshape(-1, order="F")
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_single_mode_engine_exponentiates_only_small_matrices(monkeypatch):
+    dim = 16
+    sizes = []
+
+    def recording_expm(m):
+        sizes.append(m.shape[0])
+        return expm(m)
+
+    monkeypatch.setattr(state_engine, "expm", recording_expm)
+    _, _, table, ints, factors = _homodyne_factors(1.0, 0.3, 0.7, 1e-3, 0.3,
+                                                   seed=4)
+    engine = EnsemblePropagator.from_blocks(table.final_blocks(), dim)
+    engine.evolve_record(coherent_state(1, dim, 0.4), ints)
+    apply_evolution(coherent_state(1, dim, 0.4), factors)
+    assert sizes and max(sizes) <= dim
+
+
+def test_evolve_record_matches_apply_evolution():
+    _, _, table, ints, factors = _homodyne_factors(1.0, 0.3, 0.7, 1e-3, 0.4,
+                                                   seed=6)
+    rho0 = coherent_state(1, 14, 0.5)
+    engine = EnsemblePropagator.from_blocks(table.final_blocks(), 14)
+    got = engine.evolve_record(rho0, ints)
+    want = apply_evolution(rho0, factors)
+    assert np.abs(got.rho - want.rho).max() < 1e-13
+    with pytest.raises(DimensionMismatch):
+        engine.evolve_record(coherent_state(1, 12, 0.5), ints)
+
+
+def test_shared_engine_is_thread_safe():
+    # one engine, more worker threads than cores, a short switch interval:
+    # every record must come out exactly as in a serial run
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    spec = builtin_homodyne_thermal(1.0, 0.3, 0.7)
+    rep = rep_of_generator(compute_generator(spec))
+    nc = compute_noise_couplings(spec)
+    table = BlockTable(rep, 1e-3, 200)
+    engine = EnsemblePropagator.from_blocks(table.final_blocks(), 14)
+    rho0 = coherent_state(1, 14, 0.4)
+    records = [accumulate_integrals(table, nc, sample_ostensible_record(
+        spec, 1e-3, 0.2, seed=k)) for k in range(12)]
+    serial = [engine.evolve_record(rho0, ints).rho for ints in records]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(engine.evolve_record, rho0, ints)
+                       for ints in records]
+            threaded = [f.result(timeout=60).rho for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(serial, threaded):
+        assert np.array_equal(a, b)
