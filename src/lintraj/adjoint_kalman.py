@@ -126,8 +126,9 @@ def integrate_backward(mats: KalmanMatrices, record: MeasurementRecord,
     method="exact" propagates Lambda through the linear Riccati flow and
     reduces z to an explicit quadrature, so the only discretization is the
     Ito sum over the record (kernels evaluated at the slice times j dt, the
-    same convention as the forward integrals).  method="euler" is the plain
-    explicit-Euler information filter, kept for convergence checks.
+    same convention as the forward integrals); it is the last sample of
+    :func:`backward_sweep`.  method="euler" is the plain explicit-Euler
+    information filter, kept for convergence checks.
     """
     if t_m is None:
         t_m = record.t_final
@@ -152,77 +153,61 @@ def integrate_backward(mats: KalmanMatrices, record: MeasurementRecord,
         return EffectMoments(n_modes=mats.n_modes, z=z, Lambda=lam, x=x, V=V,
                              informative=keep)
 
-    M = _riccati_flow_matrix(mats)
-    # slice j of the record sits at backward time s_j = t_m - j dt
-    step = expm(M * dt)
-    xy = np.empty((steps + 1, 2 * n2, n2))
-    xy[0] = np.vstack([np.eye(n2), np.zeros((n2, n2))])
-    for k in range(steps):
-        xy[k + 1] = step @ xy[k]
+    return backward_sweep(mats, record, 1)[3]
+
+
+def backward_sweep(mats: KalmanMatrices, record: MeasurementRecord,
+                   n_samples: int):
+    """(taus, xs, Vs, moments): the exact backward sweep, sampled about
+    ``n_samples`` times, and its final moments.
+
+    tau is the earliest time the effect has been integrated back to; entry 0
+    is tau = t_m (flat effect), the last entry tau = 0, where ``moments`` is
+    taken.  [X; Y] follows the linear Riccati flow one step at a time; the
+    covariance part Lambda = Y X^{-1} is record-independent, and z = X^{-T} w
+    with w the Ito quadrature of the record slices the sweep has passed.
+    """
+    steps = record.steps
+    dt = record.dt
+    n2 = 2 * mats.n_modes
+    step = expm(_riccati_flow_matrix(mats) * dt)
+    xy = np.vstack([np.eye(n2), np.zeros((n2, n2))])
     w = np.zeros(n2)
-    for j in range(1, steps + 1):
-        k = steps - j                      # backward index of slice time s_j
-        X = xy[k][:n2]
-        Y = xy[k][n2:]
+    sample_every = max(1, steps // max(1, n_samples - 1))
+    taus, xs, Vs = [], [], []
+
+    def emit(k_back):
+        X, Y = xy[:n2], xy[n2:]
+        lam = Y @ np.linalg.inv(X)
+        lam = (lam + lam.T) / 2
+        z = np.linalg.solve(X.T, w)
+        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(lam))):
+            raise RiccatiBlowup("backward flow produced non-finite moments")
+        x, V, keep = _moments_from_information(mats.n_modes, z, lam)
+        taus.append(record.t_final - k_back * dt)
+        xs.append(x)
+        Vs.append(V)
+        return EffectMoments(n_modes=mats.n_modes, z=z, Lambda=lam, x=x, V=V,
+                             informative=keep)
+
+    moments = emit(0)
+    # slice j enters once the sweep has passed backward time t_m - j dt; its
+    # kernel is the flow one step before that sample
+    for k_back in range(1, steps + 1):
+        X, Y = xy[:n2], xy[n2:]
         lam_s = Y @ np.linalg.inv(X)
-        w += X.T @ ((2.0 * mats.B.T + lam_s @ mats.S.T) @ record.y[j - 1]) * dt
-    Xf = xy[steps][:n2]
-    Yf = xy[steps][n2:]
-    lam = Yf @ np.linalg.inv(Xf)
-    lam = (lam + lam.T) / 2
-    z = np.linalg.solve(Xf.T, w)
-    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(lam))):
-        raise RiccatiBlowup("backward flow produced non-finite moments")
-    x, V, keep = _moments_from_information(mats.n_modes, z, lam)
-    return EffectMoments(n_modes=mats.n_modes, z=z, Lambda=lam, x=x, V=V,
-                         informative=keep)
+        w = w + X.T @ ((2.0 * mats.B.T + lam_s @ mats.S.T)
+                       @ record.y[steps - k_back]) * dt
+        xy = step @ xy
+        if k_back % sample_every == 0 or k_back == steps:
+            moments = emit(k_back)
+    return np.array(taus), np.array(xs), np.array(Vs), moments
 
 
 def backward_moment_trajectory(mats: KalmanMatrices, record: MeasurementRecord,
                                n_samples: int = 50):
-    """(taus, xs, Vs) of the effect moments over the backward sweep.
-
-    tau is the earliest time the effect has been integrated back to; entry 0
-    is tau = t_m (flat effect), the last entry tau = 0.  The covariance part
-    is record-independent; the means reuse the partial record quadratures.
-    """
-    steps = record.steps
-    dt = record.dt
-    t_m = record.t_final
-    n2 = 2 * mats.n_modes
-    M = _riccati_flow_matrix(mats)
-    step = expm(M * dt)
-    xy = np.empty((steps + 1, 2 * n2, n2))
-    xy[0] = np.vstack([np.eye(n2), np.zeros((n2, n2))])
-    for k in range(steps):
-        xy[k + 1] = step @ xy[k]
-    # w(sigma) accumulates later slices first: slice j enters once the sweep
-    # has passed backward time t_m - j dt
-    sample_every = max(1, steps // max(1, n_samples - 1))
-    taus, xs, Vs = [], [], []
-
-    def emit(k_back, w):
-        X = xy[k_back][:n2]
-        Y = xy[k_back][n2:]
-        lam = Y @ np.linalg.inv(X)
-        z = np.linalg.solve(X.T, w)
-        x, V, _ = _moments_from_information(mats.n_modes, z, (lam + lam.T) / 2)
-        taus.append(t_m - k_back * dt)
-        xs.append(x)
-        Vs.append(V)
-
-    w = np.zeros(n2)
-    emit(0, w)
-    for k_back in range(1, steps + 1):
-        j = steps - k_back + 1             # record slice entering the sweep
-        X = xy[k_back - 1][:n2]
-        Y = xy[k_back - 1][n2:]
-        lam_s = Y @ np.linalg.inv(X)
-        w = w + X.T @ ((2.0 * mats.B.T + lam_s @ mats.S.T)
-                       @ record.y[j - 1]) * dt
-        if k_back % sample_every == 0 or k_back == steps:
-            emit(k_back, w)
-    return np.array(taus), np.array(xs), np.array(Vs)
+    """(taus, xs, Vs) of the effect moments over :func:`backward_sweep`."""
+    return backward_sweep(mats, record, n_samples)[:3]
 
 
 def backward_covariance(mats: KalmanMatrices, sigma: float) -> np.ndarray:

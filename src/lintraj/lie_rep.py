@@ -33,6 +33,9 @@ from .errors import LogBranchFailure, MatrixExpFailure, SingularBlock
 from .parameterization import QuadraticForm, QuadraticGenerator, half_swap
 
 _COND_LIMIT = 1e12
+# steps per chunk of propagator_powers: large enough that the per-chunk copy
+# is vectorized, small enough (~0.3 MB at N = 1) to stay off the peak memory
+_POWER_CHUNK = 512
 
 
 def flip(n_doubled: int) -> np.ndarray:
@@ -142,31 +145,33 @@ def propagator_blocks(rep: RepMatrix, t: float) -> PropagatorBlocks:
     return PropagatorBlocks.from_matrix(rep.n_modes, t, T)
 
 
-def propagator_grid(rep: RepMatrix, dt: float, steps: int) -> np.ndarray:
-    """expm(rep * j * dt) for j = 1..steps, shape (steps, 4N+2, 4N+2).
+def propagator_powers(rep: RepMatrix, dt: float, steps: int):
+    """Yield (j0, chunk) with chunk[k] = expm(rep * (j0 + k + 1) * dt): the
+    propagators at j = 1..steps in consecutive chunks of ``_POWER_CHUNK``
+    steps, by repeated multiplication with the single-step propagator.
 
-    Uses the eigendecomposition when well conditioned, otherwise repeated
-    multiplication by the single-step propagator.
+    Chunks let callers keep only the entries they need without ever holding
+    the whole grid.  No eigendecomposition: every generator image is
+    defective, because its nonzero corner entry joins the two zero
+    eigenvalues into a Jordan block, so its eigenvectors are never well
+    conditioned.
     """
-    dim = rep.dim
-    A = rep.matrix
-    try:
-        w, V = np.linalg.eig(A)
-        cond = np.linalg.cond(V)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    ts = dt * np.arange(1, steps + 1)
-    if cond < 1e8:
-        Vinv = np.linalg.inv(V)
-        phases = np.exp(np.outer(ts, w))  # (steps, dim)
-        out = np.einsum("ij,tj,jk->tik", V, phases, Vinv)
-    else:
-        step = expm(A * dt)
-        out = np.empty((steps, dim, dim), dtype=complex)
-        acc = np.eye(dim, dtype=complex)
-        for j in range(steps):
+    step = expm(rep.matrix * dt)
+    acc = np.eye(rep.dim, dtype=complex)
+    for j0 in range(0, steps, _POWER_CHUNK):
+        chunk = np.empty((min(_POWER_CHUNK, steps - j0), rep.dim, rep.dim),
+                         dtype=complex)
+        for k in range(len(chunk)):
             acc = acc @ step
-            out[j] = acc
+            chunk[k] = acc
+        yield j0, chunk
+
+
+def propagator_grid(rep: RepMatrix, dt: float, steps: int) -> np.ndarray:
+    """All :func:`propagator_powers`, shape (steps, 4N+2, 4N+2)."""
+    out = np.empty((steps, rep.dim, rep.dim), dtype=complex)
+    for j0, chunk in propagator_powers(rep, dt, steps):
+        out[j0:j0 + len(chunk)] = chunk
     if not np.all(np.isfinite(out)):
         raise MatrixExpFailure("non-finite entries in propagator grid")
     return out

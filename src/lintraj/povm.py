@@ -30,23 +30,13 @@ INFO_TOL = 1e-12
 
 
 def _phi_matrix(lpp: np.ndarray, lpp_breve: np.ndarray) -> np.ndarray:
-    """Real quadratic form of F(alpha) over (Re alpha, Im alpha)."""
-    n = lpp.shape[0]
-
-    def f(vec):
-        alpha = vec[:n] + 1j * vec[n:]
-        return float(2 * np.real(np.vdot(alpha, lpp_breve @ alpha))
-                     + 2 * np.real(np.vdot(alpha, lpp @ alpha.conj())))
-
-    phi = np.zeros((2 * n, 2 * n))
-    basis = np.eye(2 * n)
-    diag = np.array([f(basis[i]) for i in range(2 * n)])
-    for i in range(2 * n):
-        phi[i, i] = diag[i]
-        for j in range(i + 1, 2 * n):
-            cross = 0.5 * (f(basis[i] + basis[j]) - diag[i] - diag[j])
-            phi[i, j] = phi[j, i] = cross
-    return phi
+    """Real symmetric form Phi of F(alpha) over v = (Re alpha, Im alpha):
+    F = v^T Phi v with Phi = P + P^T, P the real block form of
+    alpha^dag Lpp_breve alpha + alpha^dag Lpp alpha*."""
+    a, b = lpp_breve, lpp
+    P = np.block([[(a + b).real, (b - a).imag],
+                  [(a + b).imag, (a - b).real]])
+    return P + P.T
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,12 @@ All record-independent work lives in :class:`EnsemblePropagator`, the one
 state engine: it disentangles the quadratic part once and keeps the quadratic
 factor exponentials for every record.  The trajectory-dependent linear
 factors commute with the quadratic factors of the same species, so per record
-only their nilpotent lifts are applied.  For a single mode every term of a
-species commutes, so each factor exponential splits into D x D exponentials,
-a terminating sandwich series and, for the number factor, one small block per
+they are applied on their own, in the same form as every other factor:
+rho -> K rho K^dag with K = exp(sum_i l_i a_i) (or exp(sum_i r_i a_i^dag)),
+a Kronecker product of closed-form triangular D x D matrices
+(:func:`lowering_exp`).  For a single mode every term of a species commutes,
+so each quadratic factor exponential splits into D x D exponentials, a
+terminating sandwich series and, for the number factor, one small block per
 m + n sector (:func:`single_mode_exponentials`); no D^2 x D^2 matrix is ever
 exponentiated.  Two or more modes apply the sparse quadratic lifts with
 ``expm_multiply``.  :func:`apply_evolution` is a one-record call into the
@@ -28,7 +31,8 @@ engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import factorial
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +42,7 @@ from scipy.sparse.linalg import expm_multiply
 from .errors import (
     DimensionMismatch,
     LogBranchFailure,
+    MatrixExpFailure,
     NonHermitianResult,
     TruncationOverflow,
     ZeroTrace,
@@ -61,6 +66,24 @@ def fock_operators(dim: int):
         raise ValueError("need dim >= 2")
     a = np.diag(np.sqrt(np.arange(1, dim)), k=1)
     return a, a.T.copy(), np.diag(np.arange(dim, dtype=float))
+
+
+@lru_cache(maxsize=32)
+def _lowering_exp_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(T, k) with T[m, n] = sqrt(n!/m!) / (n - m)! and k = n - m on and
+    above the diagonal (T = 0 below it)."""
+    T = np.array([[np.sqrt(factorial(n) / factorial(m)) / factorial(n - m)
+                   if n >= m else 0.0 for n in range(dim)] for m in range(dim)])
+    m, n = np.indices((dim, dim))
+    return T, np.maximum(n - m, 0)
+
+
+def lowering_exp(c: complex, dim: int) -> np.ndarray:
+    """exp(c a) on a dim-level truncation, exactly: a is nilpotent there, so
+    the series sum_k c^k a^k / k! ends and K[m, n] = c^(n-m)/(n-m)! sqrt(n!/m!).
+    exp(c a^dag) is its transpose."""
+    T, k = _lowering_exp_table(dim)
+    return T * np.power(complex(c), k)
 
 
 @lru_cache(maxsize=32)
@@ -321,16 +344,18 @@ def single_mode_exponentials(factors: EvolutionFactors, dim: int) -> list:
     return [ann, num, cre]
 
 
-def _apply_exponential(K: np.ndarray | None, M: sp.spmatrix, V: np.ndarray,
-                       dim: int) -> np.ndarray:
-    """kron(conj(K), K) @ M @ V for a (dim^2, k) stack of vec(rho) columns,
-    with the Kronecker factor applied as K rho K^dag."""
-    V = M @ V
+def _apply_exponential(K: np.ndarray | None, M: sp.spmatrix | None,
+                       V: np.ndarray, side: int) -> np.ndarray:
+    """kron(conj(K), K) @ M @ V for vec(rho) columns V of a side x side rho
+    (a vector or a (side^2, k) stack), with the Kronecker factor applied as
+    K rho K^dag.  ``K`` or ``M`` may be None (identity)."""
+    if M is not None:
+        V = M @ V
     if K is None:
         return V
-    R = V.reshape(dim, dim, -1, order="F")
-    R = np.einsum("ip,pqc,jq->ijc", K, R, K.conj(), optimize=True)
-    return R.reshape(dim * dim, -1, order="F")
+    R = V.reshape(side, side, -1, order="F").transpose(2, 0, 1)
+    R = K @ R @ K.conj().T
+    return R.transpose(1, 2, 0).reshape(V.shape, order="F")
 
 
 class EnsemblePropagator:
@@ -339,8 +364,10 @@ class EnsemblePropagator:
 
     The annihilation-species linear factor commutes with its quadratic factor
     (and likewise for the creation species), so the quadratic exponentials
-    are shared by every record; per record only nilpotent linear lifts are
-    exponentiated (their Taylor series terminates on the truncation).  One
+    are shared by every record.  Per record only the linear factors are
+    applied, as rho -> K rho K^dag with K = kron_i exp(l_i a) before the
+    quadratic factors and K = kron_i exp(r_i a)^T after them, each
+    per-mode factor a closed-form D x D matrix (:func:`lowering_exp`).  One
     mode keeps the quadratic core as a dense D^2 x D^2 matrix assembled from
     :func:`single_mode_exponentials`; more modes keep the sparse quadratic
     lifts and apply them with ``expm_multiply`` per record.
@@ -368,45 +395,24 @@ class EnsemblePropagator:
             self.core = None
             self._quadratic = tuple(s.tocsc() for s in
                                     evolution_superoperators(base, dim))
-        d = dim ** n
-        a_ops = _mode_lowering(n, dim)
-        self._low_left = [_lift_left(op, d) for op in a_ops]
-        self._low_right = [_lift_right(op.conj().T.tocsr(), d) for op in a_ops]
-        self._raise_left = [_lift_left(op.conj().T.tocsr(), d) for op in a_ops]
-        self._raise_right = [_lift_right(op, d) for op in a_ops]
 
     @classmethod
     def from_blocks(cls, blocks: PropagatorBlocks, dim: int) -> "EnsemblePropagator":
         """Engine for every record evolved over ``blocks``: disentangles once."""
         return cls(EvolutionFactors.from_blocks(blocks), dim, blocks=blocks)
 
-    def _exp_apply(self, mats, coeffs, v):
-        X = None
-        for c, m in zip(coeffs, mats):
-            if c != 0:
-                X = c * m if X is None else X + c * m
-        if X is None:
-            return v
-        out = v.copy()
-        term = v
-        for k in range(1, 4 * self.dim + 8):
-            term = X @ term / k
-            out = out + term
-            if np.abs(term).max() < 1e-17 * max(1.0, np.abs(out).max()):
-                break
-        return out
-
     def _propagate(self, v: np.ndarray, l_under: np.ndarray,
                    r_under: np.ndarray) -> np.ndarray:
-        coeffs_l = list(l_under) + list(np.conj(l_under))
-        v = self._exp_apply(self._low_left + self._low_right, coeffs_l, v)
+        side = self.dim ** self.n_modes
+        k_l = reduce(np.kron, [lowering_exp(c, self.dim) for c in l_under])
+        k_r = reduce(np.kron, [lowering_exp(c, self.dim) for c in r_under]).T
+        v = _apply_exponential(k_l, None, v, side)
         if self.core is not None:
             v = self.core @ v
         else:
             for s in self._quadratic:
                 v = expm_multiply(s, v)
-        coeffs_r = list(r_under) + list(np.conj(r_under))
-        return self._exp_apply(self._raise_left + self._raise_right, coeffs_r, v)
+        return _apply_exponential(k_r, None, v, side)
 
     def propagate_vec(self, v0: np.ndarray, l_under: np.ndarray,
                       r_under: np.ndarray, sigma: complex) -> np.ndarray:
@@ -435,6 +441,8 @@ class EnsemblePropagator:
                             l_under, r_under)
         if include_scalar:
             v = v * np.exp(self.delta_prime + sigma)
+        if not np.all(np.isfinite(v)):
+            raise MatrixExpFailure("evolved state has non-finite entries")
         out = FockDensityMatrix(n_modes=self.n_modes, dim_per_mode=self.dim,
                                 rho=v.reshape((rho0.dim, rho0.dim), order="F"),
                                 is_normalized=False)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, FilterDivergence
-from .lie_rep import PropagatorBlocks, RepMatrix, flip, propagator_grid
+from .errors import DimensionMismatch, FilterDivergence, MatrixExpFailure
+from .lie_rep import PropagatorBlocks, RepMatrix, flip, propagator_powers
 from .parameterization import NoiseCouplings
 from .system import SystemSpec
 
@@ -137,7 +137,9 @@ class BlockTable:
     """Propagator blocks on the uniform grid t_j = j dt, j = 1..steps.
 
     Record-independent; built once per (spec, dt, steps) and shared across an
-    ensemble.
+    ensemble.  Only the four inner blocks and the scalar corner c are kept,
+    not the whole (steps, 4N+2, 4N+2) grid of propagators, which for one mode
+    is more than twice as large.
     """
 
     def __init__(self, rep: RepMatrix, dt: float, steps: int):
@@ -145,12 +147,17 @@ class BlockTable:
         self.dt = dt
         self.steps = steps
         m = 2 * rep.n_modes
-        grid = propagator_grid(rep, dt, steps)
-        self.N11 = grid[:, 1:m + 1, 1:m + 1]
-        self.N1m1 = grid[:, 1:m + 1, m + 1:2 * m + 1]
-        self.Nm11 = grid[:, m + 1:2 * m + 1, 1:m + 1]
-        self.Nm1m1 = grid[:, m + 1:2 * m + 1, m + 1:2 * m + 1]
-        self.c = grid[:, 4 * rep.n_modes + 1, 0]
+        inner = np.empty((steps, 2 * m, 2 * m), dtype=complex)
+        self.c = np.empty(steps, dtype=complex)
+        for j0, chunk in propagator_powers(rep, dt, steps):
+            inner[j0:j0 + len(chunk)] = chunk[:, 1:-1, 1:-1]
+            self.c[j0:j0 + len(chunk)] = chunk[:, -1, 0]
+        if not (np.all(np.isfinite(inner)) and np.all(np.isfinite(self.c))):
+            raise MatrixExpFailure("non-finite entries in propagator grid")
+        self.N11 = inner[:, :m, :m]
+        self.N1m1 = inner[:, :m, m:]
+        self.Nm11 = inner[:, m:, :m]
+        self.Nm1m1 = inner[:, m:, m:]
 
     def final_blocks(self) -> PropagatorBlocks:
         m = 2 * self.n_modes
@@ -198,6 +205,9 @@ def accumulate_integrals_ensemble(table: BlockTable, couplings: NoiseCouplings,
     steps = y.shape[1]
     if steps != table.steps:
         raise DimensionMismatch("record and block table use different grids")
+    if y.shape[-1] != couplings.W_l.shape[0]:
+        raise DimensionMismatch(f"record has {y.shape[-1]} current columns; "
+                                f"the system has {couplings.W_l.shape[0]}")
     J = flip(2 * table.n_modes)
     dt = table.dt
     dl = np.einsum("sjk,km->sjm", y, couplings.W_l) * dt      # (S, J, 2N)

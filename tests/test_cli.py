@@ -291,3 +291,32 @@ def test_povm_retrodict_prior_per_mode(tmp_path, capsys, rng):
     capsys.readouterr()
     assert main(argv + ["0.3:1e-9"]) == 2
     assert _error_of(capsys) == "DimensionMismatch"
+
+
+@pytest.mark.parametrize("n_cols", [1, 2])
+def test_povm_rejects_record_with_wrong_column_count(homodyne_config, tmp_path,
+                                                     capsys, n_cols):
+    # homodyne records have 2L = 4 current columns
+    record = tmp_path / "record.csv"
+    rows = ["t," + ",".join(f"y_{k + 1}" for k in range(n_cols))]
+    rows += [f"{j * 1e-3}," + ",".join(["0.5"] * n_cols) for j in range(20)]
+    record.write_text("\n".join(rows) + "\n")
+    assert main(["povm", "--config", homodyne_config, "--record", str(record),
+                 "--out", str(tmp_path / "povm.json")]) == 2
+    out = capsys.readouterr().out.strip().splitlines()
+    assert len(out) == 1
+    assert json.loads(out[0])["error"] == "DimensionMismatch"
+    assert not (tmp_path / "povm.json").exists()
+
+
+def test_adjoint_command_sweeps_once(homodyne_config, tmp_path, monkeypatch):
+    from lintraj import adjoint_kalman
+
+    calls = []
+    flow = adjoint_kalman._riccati_flow_matrix
+    monkeypatch.setattr(adjoint_kalman, "_riccati_flow_matrix",
+                        lambda mats: calls.append(1) or flow(mats))
+    assert main(["adjoint", "--config", homodyne_config, "--seed", "2",
+                 "--dt", "1e-3", "--t-final", "0.2",
+                 "--out", str(tmp_path / "adj")]) == 0
+    assert len(calls) == 1

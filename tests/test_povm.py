@@ -6,6 +6,7 @@ from lintraj.errors import SingularInformationMatrix
 from lintraj.lie_rep import povm_blocks, propagator_blocks, rep_of_generator
 from lintraj.parameterization import compute_generator, compute_noise_couplings
 from lintraj.povm import (
+    _phi_matrix,
     effect_fock_operator,
     effect_from_blocks,
     homodyne_closed_form,
@@ -288,3 +289,19 @@ def test_optomech_record_summary_two_kernel_form():
     d = stochastic_d(ints, lpp)[0]
     cf = optomech_closed_form(mu_eff, gamma, K, chi, t, rec)
     assert abs(d - cf.d) < 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_phi_matrix_reproduces_f(n, rng):
+    # v^T Phi v = F(alpha) = 2 alpha^dag Lpp_breve alpha + 2 Re(alpha^dag Lpp alpha*)
+    lpp = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    lpp = (lpp + lpp.T) / 2
+    lpp_breve = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    phi = _phi_matrix(lpp, lpp_breve)
+    assert np.array_equal(phi, phi.T)
+    for _ in range(5):
+        alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
+        f = (2 * np.real(np.vdot(alpha, lpp_breve @ alpha))
+             + 2 * np.real(np.vdot(alpha, lpp @ alpha.conj())))
+        v = np.concatenate([alpha.real, alpha.imag])
+        assert abs(v @ phi @ v - f) <= 1e-12 * max(1.0, abs(f))

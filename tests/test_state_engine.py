@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from lintraj import state_engine
-from lintraj.errors import DimensionMismatch, ZeroTrace
+from lintraj.errors import DimensionMismatch, MatrixExpFailure, ZeroTrace
 from lintraj.lie_rep import propagator_blocks, rep_of_generator
 from lintraj.parameterization import compute_generator, compute_noise_couplings
 from lintraj.state_engine import (
@@ -30,7 +31,7 @@ from lintraj.trajectory import (
     sample_ostensible_record,
 )
 
-from conftest import dense_evolution, random_single_mode_factors
+from conftest import dense_evolution, random_single_mode_factors, random_spec
 
 
 def test_fock_operators_small_dims():
@@ -304,3 +305,46 @@ def test_shared_engine_is_thread_safe():
         sys.setswitchinterval(interval)
     for a, b in zip(serial, threaded):
         assert np.array_equal(a, b)
+
+
+def test_lowering_exp_is_exact_on_the_truncation():
+    a, _, _ = fock_operators(9)
+    for c in (0.0, 0.7 - 1.3j, 2.5):
+        got = state_engine.lowering_exp(c, 9)
+        assert np.abs(got - expm(c * a)).max() <= 1e-13 * np.abs(got).max()
+
+
+def test_two_mode_linear_factors_match_full_lifts(rng):
+    # N = 2: per-record K rho K^dag linear factors around the shared quadratic
+    # lifts, against expm_multiply of each full species lift (linear included)
+    dim = 5
+    for _ in range(2):
+        spec = random_spec(2, 2, rng)
+        blocks = propagator_blocks(rep_of_generator(compute_generator(spec)), 0.4)
+        factors = replace(
+            EvolutionFactors.from_blocks(blocks),
+            l_under=rng.normal(size=2) + 1j * rng.normal(size=2),
+            r_under=rng.normal(size=2) + 1j * rng.normal(size=2),
+            sigma=complex(0.1 * rng.normal(), 0.1 * rng.normal()))
+        v0 = coherent_state(2, dim, [0.3 - 0.2j, -0.1j]).rho.reshape(-1, order="F")
+        want = v0.astype(complex)
+        for s in evolution_superoperators(factors, dim):
+            want = expm_multiply(s.tocsc(), want)
+        want = want * np.exp(factors.log_scalar)
+        engine = EnsemblePropagator(factors, dim)
+        got = engine.propagate_vec(v0, factors.l_under, factors.r_under,
+                                   factors.sigma)
+        assert got.shape == v0.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_non_finite_state_is_named():
+    # a scalar exponent that overflows exp must not reach the Hermiticity and
+    # tail checks, which NaN passes
+    factors = replace(random_single_mode_factors(np.random.default_rng(7)),
+                      sigma=complex(800.0, 0.0))
+    engine = EnsemblePropagator(factors, 8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(MatrixExpFailure):
+            engine.evolve(vacuum_state(1, 8), factors.l_under, factors.r_under,
+                          factors.sigma)

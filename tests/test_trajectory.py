@@ -200,3 +200,22 @@ def test_record_csv_roundtrip(tmp_path, homodyne_pipeline):
     assert back.steps == rec.steps
     assert abs(back.dt - rec.dt) < 1e-15
     assert np.abs(back.y - rec.y).max() < 1e-15
+
+
+def test_block_table_keeps_grid_blocks_and_rejects_overflow(homodyne_pipeline):
+    from lintraj.errors import MatrixExpFailure
+    from lintraj.lie_rep import RepMatrix, propagator_grid
+
+    _, rep, _ = homodyne_pipeline
+    table = BlockTable(rep, 1e-3, 40)
+    grid = propagator_grid(rep, 1e-3, 40)
+    assert np.array_equal(table.N11, grid[:, 1:3, 1:3])
+    assert np.array_equal(table.N1m1, grid[:, 1:3, 3:5])
+    assert np.array_equal(table.Nm11, grid[:, 3:5, 1:3])
+    assert np.array_equal(table.Nm1m1, grid[:, 3:5, 3:5])
+    assert np.array_equal(table.c, grid[:, 5, 0])
+    T = np.zeros((6, 6), dtype=complex)
+    T[1, 1] = 400.0     # exp(800) overflows at the second step
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(MatrixExpFailure):
+        BlockTable(RepMatrix(n_modes=1, matrix=T), 1.0, 3)
