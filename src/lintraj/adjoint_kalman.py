@@ -119,9 +119,9 @@ def _moments_from_information(n_modes: int, z: np.ndarray, lam: np.ndarray):
 
 
 def integrate_backward(mats: KalmanMatrices, record: MeasurementRecord,
-                       t_m: float | None = None,
                        method: str = "exact") -> EffectMoments:
-    """Backward sweep of (z, Lambda) from a flat effect at t_m to tau = 0.
+    """Backward sweep of (z, Lambda) from a flat effect at ``record.t_final``
+    to tau = 0.
 
     method="exact" propagates Lambda through the linear Riccati flow and
     reduces z to an explicit quadrature, so the only discretization is the
@@ -130,8 +130,6 @@ def integrate_backward(mats: KalmanMatrices, record: MeasurementRecord,
     :func:`backward_sweep`.  method="euler" is the plain explicit-Euler
     information filter, kept for convergence checks.
     """
-    if t_m is None:
-        t_m = record.t_final
     steps = record.steps
     dt = record.dt
     n2 = 2 * mats.n_modes
@@ -162,10 +160,11 @@ def backward_sweep(mats: KalmanMatrices, record: MeasurementRecord,
     ``n_samples`` times, and its final moments.
 
     tau is the earliest time the effect has been integrated back to; entry 0
-    is tau = t_m (flat effect), the last entry tau = 0, where ``moments`` is
-    taken.  [X; Y] follows the linear Riccati flow one step at a time; the
-    covariance part Lambda = Y X^{-1} is record-independent, and z = X^{-T} w
-    with w the Ito quadrature of the record slices the sweep has passed.
+    is tau = record.t_final (flat effect), the last entry tau = 0, where
+    ``moments`` is taken.  [X; Y] follows the linear Riccati flow one step at
+    a time; the covariance part Lambda = Y X^{-1} is record-independent, and
+    z = X^{-T} w with w the Ito quadrature of the record slices the sweep has
+    passed.
     """
     steps = record.steps
     dt = record.dt
@@ -191,7 +190,7 @@ def backward_sweep(mats: KalmanMatrices, record: MeasurementRecord,
                              informative=keep)
 
     moments = emit(0)
-    # slice j enters once the sweep has passed backward time t_m - j dt; its
+    # slice j enters once the sweep has passed backward time t_final - j dt; its
     # kernel is the flow one step before that sample
     for k_back in range(1, steps + 1):
         X, Y = xy[:n2], xy[n2:]

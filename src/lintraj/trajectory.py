@@ -7,7 +7,6 @@ blocks evaluated at ``t = j dt``.  All sums follow the Ito convention.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +15,10 @@ from .errors import DimensionMismatch, FilterDivergence, MatrixExpFailure
 from .lie_rep import PropagatorBlocks, RepMatrix, flip, propagator_powers
 from .parameterization import NoiseCouplings
 from .system import SystemSpec
+
+# (record, step) pairs per chunk of accumulate_integrals_ensemble: a few MB of
+# temporaries, large enough that each chunk is a handful of vectorized passes
+_STREAM_CHUNK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -188,7 +191,7 @@ def accumulate_integrals_ensemble(table: BlockTable, couplings: NoiseCouplings,
 
     Parameters
     ----------
-    y : (n_traj, steps, 2L) array of current samples.
+    y : (n_traj, steps, 2L) array of real current samples.
 
     Returns
     -------
@@ -199,30 +202,57 @@ def accumulate_integrals_ensemble(table: BlockTable, couplings: NoiseCouplings,
     the diagonal Ito sum is fixed by requiring the state norm to reproduce the
     record probability (equivalently, by composing the linear factors pairwise
     and normal ordering the total at the end).
+
+    Both increments are linear in the record with record-independent per-step
+    kernels, dl'_j = y_j KL_j and dr'_j = y_j KR_j, where
+    KL_j = dt (W_l N11_j + W_r J^T Nm11_j) and
+    KR_j = dt (W_l N1m1_j + W_r J^T Nm1m1_j) J^T.  The kernels are folded once
+    per call, over only the current columns with a nonzero coupling row.  The
+    record is then streamed in time chunks of about ``_STREAM_CHUNK`` (record,
+    step) pairs, carrying l', r' (the running sum_{k<j} dr'_k) and h across
+    chunks, so no (n_traj, steps, 2N) array is ever formed.
     """
+    y = np.asarray(y)
+    if np.iscomplexobj(y):
+        raise ValueError("record currents must be real")
     if not np.all(np.isfinite(y)):
         raise ValueError("record contains non-finite entries")
-    steps = y.shape[1]
+    n_traj, steps = y.shape[:2]
     if steps != table.steps:
         raise DimensionMismatch("record and block table use different grids")
     if y.shape[-1] != couplings.W_l.shape[0]:
         raise DimensionMismatch(f"record has {y.shape[-1]} current columns; "
                                 f"the system has {couplings.W_l.shape[0]}")
-    J = flip(2 * table.n_modes)
-    dt = table.dt
-    dl = np.einsum("sjk,km->sjm", y, couplings.W_l) * dt      # (S, J, 2N)
-    dr = np.einsum("sjk,km->sjm", y, couplings.W_r) * dt
-    dr_f = dr @ J.T                                            # J @ dr per step
-    dl_p = (np.einsum("sjm,jmn->sjn", dl, table.N11)
-            + np.einsum("sjm,jmn->sjn", dr_f, table.Nm11))
-    dr_p_pre = (np.einsum("jmn,sjm->sjn", table.N1m1, dl)
-                + np.einsum("jmn,sjm->sjn", table.Nm1m1, dr_f))
-    dr_p = dr_p_pre @ J.T
-    l_prime = dl_p.sum(axis=1)
-    r_prime = dr_p.sum(axis=1)
-    cum = np.cumsum(dr_p, axis=1) - dr_p                       # sum over k < j
-    h = (np.einsum("sjm,sjm->s", dl_p, cum)
-         + 0.5 * np.einsum("sjm,sjm->s", dl_p, dr_p))
+    m = 2 * table.n_modes
+    J = flip(m)
+    cols = np.flatnonzero(np.any(couplings.W_l != 0, axis=1)
+                          | np.any(couplings.W_r != 0, axis=1))
+    w_l = couplings.W_l[cols]
+    w_rj = couplings.W_r[cols] @ J.T
+    kernels = np.empty((steps, len(cols), 2 * m), dtype=complex)   # [KL | KR]
+    kernels[:, :, :m] = table.dt * (w_l @ table.N11 + w_rj @ table.Nm11)
+    kernels[:, :, m:] = table.dt * (w_l @ table.N1m1 + w_rj @ table.Nm1m1) @ J.T
+    # real record times the real view of the complex kernels: each product row
+    # reads back as the complex increments [dl' | dr'] without a copy
+    kernels_re = kernels.view(float)
+
+    l_prime = np.zeros((n_traj, m), dtype=complex)
+    r_prime = np.zeros((n_traj, m), dtype=complex)
+    h = np.zeros(n_traj, dtype=complex)
+    span = max(1, _STREAM_CHUNK // max(1, n_traj))
+    for j0 in range(0, steps, span):
+        j1 = min(j0 + span, steps)
+        # time-major (T, n_traj, 2m): the running sum is along the first axis
+        inc = np.matmul(y[:, j0:j1, cols].transpose(1, 0, 2),
+                        kernels_re[j0:j1]).view(complex)
+        dl_p, dr_p = inc[..., :m], inc[..., m:]
+        # C_j + dr'_j / 2, with C_j = sum_{k<j} dr'_k over all earlier steps
+        mid = np.cumsum(dr_p, axis=0)
+        mid -= 0.5 * dr_p
+        mid += r_prime
+        h += np.einsum("tsm,tsm->s", dl_p, mid)
+        l_prime += dl_p.sum(axis=0)
+        r_prime += dr_p.sum(axis=0)
     return l_prime, r_prime, h
 
 
@@ -239,28 +269,24 @@ def stochastic_d(integrals: TrajectoryIntegrals, lpp_full: np.ndarray) -> np.nda
 
 
 def record_to_csv(record: MeasurementRecord, path: str, header_comment: str = "") -> None:
+    """Write ``t, y_1 .. y_2L`` rows with 17 significant digits, so that
+    :func:`record_from_csv` reads the currents back bitwise."""
+    n_cols = record.y.shape[1]
     with open(path, "w", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        n_cols = record.y.shape[1]
-        writer.writerow(["t"] + [f"y_{k + 1}" for k in range(n_cols)])
-        for t, row in zip(record.times, record.y):
-            writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
+        fh.write(",".join(["t"] + [f"y_{k + 1}" for k in range(n_cols)]) + "\r\n")
+        np.savetxt(fh, np.column_stack([record.times, record.y]), fmt="%.17g",
+                   delimiter=",", newline="\r\n")
 
 
 def record_from_csv(path: str, dt: float | None = None) -> MeasurementRecord:
-    rows = []
     with open(path) as fh:
-        for line in fh:
-            if line.startswith("#"):
-                continue
-            rows.append(line.strip().split(","))
-    header, data = rows[0], rows[1:]
-    if header[0] != "t":
-        raise ValueError("record CSV must start with a 't' column")
-    times = np.array([float(r[0]) for r in data])
-    y = np.array([[float(v) for v in r[1:]] for r in data])
+        header = next((line for line in fh if not line.startswith("#")), "")
+        if header.strip().split(",")[0] != "t":
+            raise ValueError("record CSV must start with a 't' column")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    times, y = data[:, 0], data[:, 1:]
     if dt is None:
         dt = float(times[1] - times[0]) if len(times) > 1 else float(times[0])
     return MeasurementRecord(dt=dt, steps=len(data), y=y)

@@ -111,3 +111,27 @@ def random_single_mode_factors(rng, t=0.5):
 
     return replace(factors, l_under=cpx(), r_under=cpx(),
                    sigma=complex(0.1 * rng.normal(), 0.1 * rng.normal()))
+
+
+def einsum_accumulation(table, couplings, y):
+    """Test oracle for ``accumulate_integrals_ensemble``: the per-step einsum
+    form over every current column, with all (S, steps, 2N) increment
+    streams held at once.  Returns (l', r', h) like the streamed route."""
+    from lintraj.lie_rep import flip
+
+    J = flip(2 * table.n_modes)
+    dt = table.dt
+    dl = np.einsum("sjk,km->sjm", y, couplings.W_l) * dt      # (S, J, 2N)
+    dr = np.einsum("sjk,km->sjm", y, couplings.W_r) * dt
+    dr_f = dr @ J.T                                            # J @ dr per step
+    dl_p = (np.einsum("sjm,jmn->sjn", dl, table.N11)
+            + np.einsum("sjm,jmn->sjn", dr_f, table.Nm11))
+    dr_p_pre = (np.einsum("jmn,sjm->sjn", table.N1m1, dl)
+                + np.einsum("jmn,sjm->sjn", table.Nm1m1, dr_f))
+    dr_p = dr_p_pre @ J.T
+    l_prime = dl_p.sum(axis=1)
+    r_prime = dr_p.sum(axis=1)
+    cum = np.cumsum(dr_p, axis=1) - dr_p                       # sum over k < j
+    h = (np.einsum("sjm,sjm->s", dl_p, cum)
+         + 0.5 * np.einsum("sjm,sjm->s", dl_p, dr_p))
+    return l_prime, r_prime, h

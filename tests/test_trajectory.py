@@ -1,9 +1,18 @@
+import csv
+import io
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from conftest import einsum_accumulation, random_spec
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lintraj import trajectory
 from lintraj.lie_rep import rep_of_generator
 from lintraj.parameterization import compute_generator, compute_noise_couplings
-from lintraj.system import builtin_homodyne_thermal
+from lintraj.system import builtin_homodyne_thermal, builtin_optomech_squeezing
 from lintraj.trajectory import (
     BlockTable,
     MeasurementRecord,
@@ -148,6 +157,80 @@ def test_ensemble_accumulation_matches_single(homodyne_pipeline):
         assert abs(h_e[k] - single.h) < 1e-13
 
 
+def _optomech():
+    return builtin_optomech_squeezing(mu=1.0, eta=1.0, gamma=0.4, K_th=0.2,
+                                      chi=0.3)
+
+
+def _relative_gap(got, want):
+    return max(np.abs(g - w).max() / np.abs(w).max() for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("n_traj", [1, 7])
+@pytest.mark.parametrize("steps_case", ["one", "chunk-1", "chunk", "chunk+1",
+                                        "3chunk+5"])
+@pytest.mark.parametrize("system", ["homodyne", "optomech", "random-n2"])
+def test_streamed_accumulation_matches_einsum_oracle(monkeypatch, system,
+                                                     steps_case, n_traj):
+    monkeypatch.setattr(trajectory, "_STREAM_CHUNK", 64)
+    span = 64 // n_traj        # steps per chunk
+    steps = {"one": 1, "chunk-1": span - 1, "chunk": span, "chunk+1": span + 1,
+             "3chunk+5": 3 * span + 5}[steps_case]
+    rng = np.random.default_rng(31)
+    spec = {"homodyne": lambda: builtin_homodyne_thermal(1.0, 0.6, 0.7),
+            "optomech": _optomech,
+            "random-n2": lambda: random_spec(2, 2, rng)}[system]()
+    nc = compute_noise_couplings(spec)
+    table = BlockTable(rep_of_generator(compute_generator(spec)), 1e-3, steps)
+    # every column is nonzero, also the ones no coupling row reads (4 of 6 on
+    # optomech), so dropping those columns must be exact to pass
+    y = rng.normal(size=(n_traj, steps, 2 * spec.n_channels)) / np.sqrt(1e-3)
+    if system == "optomech":
+        coupled = np.any(nc.W_l != 0, axis=1) | np.any(nc.W_r != 0, axis=1)
+        assert (~coupled).sum() == 4
+    got = accumulate_integrals_ensemble(table, nc, y)
+    assert _relative_gap(got, einsum_accumulation(table, nc, y)) <= 1e-12
+
+
+def test_accumulation_memory_stays_within_chunk_budget(homodyne_pipeline):
+    _, rep, nc = homodyne_pipeline
+    n_traj, steps = 200, 4000
+    table = BlockTable(rep, 1e-3, steps)
+    y = np.random.default_rng(5).normal(size=(n_traj, steps, 4))
+    # each (record, step) pair of a chunk holds well under 256 bytes of
+    # temporaries at N = 1: the coupled record columns, the complex
+    # increments [dl' | dr'], the running sum and one scaled copy
+    budget_bytes = trajectory._STREAM_CHUNK * 256
+    tracemalloc.start()
+    try:
+        accumulate_integrals_ensemble(table, nc, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < y.nbytes + budget_bytes
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_traj=st.integers(1, 8), steps=st.integers(1, 120),
+       chunk=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
+def test_ensemble_equals_single_records(n_traj, steps, chunk, seed):
+    spec = _optomech()
+    nc = compute_noise_couplings(spec)
+    table = BlockTable(rep_of_generator(compute_generator(spec)), 1e-3, steps)
+    y = np.random.default_rng(seed).normal(size=(n_traj, steps, 6)) / np.sqrt(1e-3)
+    # a small chunk budget splits the ensemble's steps differently from the
+    # single records', which each fit one chunk
+    with mock.patch.object(trajectory, "_STREAM_CHUNK", chunk):
+        ens = accumulate_integrals_ensemble(table, nc, y)
+    singles = [accumulate_integrals(table, nc,
+                                    MeasurementRecord(dt=1e-3, steps=steps, y=row))
+               for row in y]
+    want = (np.array([s.l_prime for s in singles]),
+            np.array([s.r_prime for s in singles]),
+            np.array([s.h for s in singles]))
+    assert _relative_gap(ens, want) <= 1e-12
+
+
 def test_conditioned_record_vacuum_statistics():
     spec = builtin_homodyne_thermal(1.0, 0.0, 1.0)
     dt, t_final = 1e-3, 0.4
@@ -200,6 +283,37 @@ def test_record_csv_roundtrip(tmp_path, homodyne_pipeline):
     assert back.steps == rec.steps
     assert abs(back.dt - rec.dt) < 1e-15
     assert np.abs(back.y - rec.y).max() < 1e-15
+
+
+def _csv_writer_bytes(record, header_comment):
+    """The record CSV as the former ``csv.writer`` route wrote it."""
+    fh = io.StringIO(newline="")
+    if header_comment:
+        fh.write(f"# {header_comment}\n")
+    writer = csv.writer(fh)
+    writer.writerow(["t"] + [f"y_{k + 1}" for k in range(record.y.shape[1])])
+    for t, row in zip(record.times, record.y):
+        writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
+    return fh.getvalue().encode()
+
+
+@pytest.mark.parametrize("steps", [1, 5])
+@pytest.mark.parametrize("comment", ["", "seed 3"])
+def test_record_csv_bytes_match_csv_writer(tmp_path, steps, comment):
+    special = np.array([-1.5, -0.0, 0.0, 1e300, -2.5e-300, 5e-324, 0.1,
+                        -7.0e22, 123456789.125, np.pi, -np.e, 1e-7])
+    y = np.resize(special, (steps, 4))
+    y[-1] = [-0.0, 1.7976931348623157e308, -1e-310, 1 / 3]
+    rec = MeasurementRecord(dt=1e-3, steps=steps, y=y)
+    path = tmp_path / "rec.csv"
+    record_to_csv(rec, str(path), header_comment=comment)
+    assert path.read_bytes() == _csv_writer_bytes(rec, comment)
+    back = record_from_csv(str(path), dt=rec.dt)
+    assert back.y.shape == y.shape
+    assert np.array_equal(back.y, y)
+    assert np.array_equal(np.signbit(back.y), np.signbit(y))
+    if steps > 1:
+        assert record_from_csv(str(path)).dt == float(rec.times[1] - rec.times[0])
 
 
 def test_block_table_keeps_grid_blocks_and_rejects_overflow(homodyne_pipeline):
