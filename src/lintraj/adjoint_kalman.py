@@ -11,8 +11,17 @@ All four coefficient matrices derive from the system spec:
     A = Sigma (G + Im C^dag C),   B = Re M^dag C,
     S = Im(M^dag C) Sigma^T,      E = Sigma Re(C^dag C) Sigma^T.
 
-Forward conditioned moments use the same matrices with the measurement gain
-``2 V B^T - S^T`` (the sign of S flips under time reversal).
+Backward: Lambda = Y X^{-1} with [X; Y] on the linear Riccati flow.  The flow
+keeps [X; Y] Lagrangian, X^T Y = Y^T X (it starts at zero and its derivative
+Y^T Cm Y + X^T 4 B^T B X is symmetric), so the sweep's record kernel
+X^T (2 B^T + Lambda S^T) is [X; Y]^T [2 B^T; S^T] and needs no inverse of X.
+
+Forward: :func:`forward_covariance_flow` is the one record-independent
+covariance and gain flow, with measurement gain ``2 V B^T - S^T`` (the sign of
+S flips under time reversal); :func:`forward_filter` and the conditioned
+record sampler each run only their mean loop over it.  The explicit-Euler
+information filter is the test oracle ``euler_backward`` in
+``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -118,39 +127,16 @@ def _moments_from_information(n_modes: int, z: np.ndarray, lam: np.ndarray):
     return x, V, keep
 
 
-def integrate_backward(mats: KalmanMatrices, record: MeasurementRecord,
-                       method: str = "exact") -> EffectMoments:
-    """Backward sweep of (z, Lambda) from a flat effect at ``record.t_final``
-    to tau = 0.
+def integrate_backward(mats: KalmanMatrices,
+                       record: MeasurementRecord) -> EffectMoments:
+    """Effect moments after the backward sweep from a flat effect at
+    ``record.t_final`` to tau = 0: the last sample of :func:`backward_sweep`.
 
-    method="exact" propagates Lambda through the linear Riccati flow and
-    reduces z to an explicit quadrature, so the only discretization is the
-    Ito sum over the record (kernels evaluated at the slice times j dt, the
-    same convention as the forward integrals); it is the last sample of
-    :func:`backward_sweep`.  method="euler" is the plain explicit-Euler
-    information filter, kept for convergence checks.
+    Lambda follows the linear Riccati flow exactly, and z is an explicit
+    quadrature, so the only discretization is the Ito sum over the record
+    (kernels evaluated at the slice times j dt, the same convention as the
+    forward integrals).
     """
-    steps = record.steps
-    dt = record.dt
-    n2 = 2 * mats.n_modes
-    if method == "euler":
-        lam = np.zeros((n2, n2))
-        z = np.zeros(n2)
-        a_t = mats.A + 2.0 * mats.S.T @ mats.B
-        cm = mats.E - mats.S.T @ mats.S
-        q4 = 4.0 * mats.B.T @ mats.B
-        for j in range(steps - 1, -1, -1):
-            y = record.y[j]
-            dz = (a_t - cm @ lam).T @ z * dt + (2.0 * mats.B.T + lam @ mats.S.T) @ y * dt
-            dlam = (lam @ a_t + a_t.T @ lam - lam @ cm @ lam + q4) * dt
-            z = z + dz
-            lam = lam + dlam
-            if not (np.all(np.isfinite(z)) and np.all(np.isfinite(lam))):
-                raise RiccatiBlowup(f"backward filter diverged at slice {j}")
-        x, V, keep = _moments_from_information(mats.n_modes, z, lam)
-        return EffectMoments(n_modes=mats.n_modes, z=z, Lambda=lam, x=x, V=V,
-                             informative=keep)
-
     return backward_sweep(mats, record, 1)[3]
 
 
@@ -164,7 +150,8 @@ def backward_sweep(mats: KalmanMatrices, record: MeasurementRecord,
     ``moments`` is taken.  [X; Y] follows the linear Riccati flow one step at
     a time; the covariance part Lambda = Y X^{-1} is record-independent, and
     z = X^{-T} w with w the Ito quadrature of the record slices the sweep has
-    passed.
+    passed.  Each slice adds [X; Y]^T [2 B^T; S^T] y dt to w (see the module
+    docstring), so X is inverted only at the samples.
     """
     steps = record.steps
     dt = record.dt
@@ -172,6 +159,9 @@ def backward_sweep(mats: KalmanMatrices, record: MeasurementRecord,
     step = expm(_riccati_flow_matrix(mats) * dt)
     xy = np.vstack([np.eye(n2), np.zeros((n2, n2))])
     w = np.zeros(n2)
+    # slice j enters once the sweep has passed backward time t_final - j dt;
+    # its kernel is the flow one step before that sample
+    gy = record.y[::-1] @ (np.vstack([2.0 * mats.B.T, mats.S.T]).T * dt)
     sample_every = max(1, steps // max(1, n_samples - 1))
     taus, xs, Vs = [], [], []
 
@@ -190,13 +180,8 @@ def backward_sweep(mats: KalmanMatrices, record: MeasurementRecord,
                              informative=keep)
 
     moments = emit(0)
-    # slice j enters once the sweep has passed backward time t_final - j dt; its
-    # kernel is the flow one step before that sample
     for k_back in range(1, steps + 1):
-        X, Y = xy[:n2], xy[n2:]
-        lam_s = Y @ np.linalg.inv(X)
-        w = w + X.T @ ((2.0 * mats.B.T + lam_s @ mats.S.T)
-                       @ record.y[steps - k_back]) * dt
+        w += gy[k_back - 1] @ xy
         xy = step @ xy
         if k_back % sample_every == 0 or k_back == steps:
             moments = emit(k_back)
@@ -224,31 +209,50 @@ def backward_covariance(mats: KalmanMatrices, sigma: float) -> np.ndarray:
     return V
 
 
+def forward_covariance_flow(mats: KalmanMatrices, cov: np.ndarray,
+                            dt: float, steps: int):
+    """(gains, covs): the record-independent forward Riccati flow
+    (explicit Euler, symmetrized each step).
+
+    gains[j] = 2 V_j B^T - S^T has shape (steps, 2N, 2L); covs has shape
+    (steps+1, 2N, 2N) with entry 0 the initial covariance.
+    """
+    covs = np.empty((steps + 1,) + np.shape(cov))
+    gains = np.empty((steps,) + mats.S.T.shape)
+    V = covs[0] = np.asarray(cov, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):   # reported below
+        for j in range(steps):
+            gain = gains[j] = 2.0 * V @ mats.B.T - mats.S.T
+            V = V + dt * (mats.A @ V + V @ mats.A.T + mats.E - gain @ gain.T)
+            V = covs[j + 1] = (V + V.T) / 2
+    # whichever happened first: positivity lost, or the flow left the floats
+    finite = np.isfinite(covs).all(axis=(1, 2))
+    n_finite = len(covs) if finite.all() else int(np.argmin(finite))
+    wmin = np.linalg.eigvalsh(covs[1:n_finite]).min(initial=0.0)
+    if wmin < -1e-8:
+        raise FilterDivergence(f"conditioned covariance eigenvalue {wmin:.2e}")
+    if n_finite < len(covs):
+        raise RiccatiBlowup(f"forward covariance is non-finite from step "
+                            f"{n_finite}")
+    return gains, covs
+
+
 def forward_filter(mats: KalmanMatrices, mean: np.ndarray, cov: np.ndarray,
                    record: MeasurementRecord):
     """Conditioned Gaussian moments along a record (explicit Euler).
 
     Returns (means, covs) with shapes (steps+1, 2N) and (steps+1, 2N, 2N);
-    entry 0 is the initial condition.  The covariance flow is deterministic.
+    entry 0 is the initial condition.  The covariance flow is
+    :func:`forward_covariance_flow`.
     """
     dt = record.dt
-    xbar = np.asarray(mean, dtype=float).copy()
-    V = np.asarray(cov, dtype=float).copy()
-    means = [xbar.copy()]
-    covs = [V.copy()]
+    gains, covs = forward_covariance_flow(mats, cov, dt, record.steps)
+    means = np.empty((record.steps + 1, len(covs[0])))
+    xbar = means[0] = np.asarray(mean, dtype=float)
     for j in range(record.steps):
-        gain = 2.0 * V @ mats.B.T - mats.S.T
         innovation = record.y[j] * dt - 2.0 * (mats.B @ xbar) * dt
-        xbar = xbar + mats.A @ xbar * dt + gain @ innovation
-        V = V + dt * (mats.A @ V + V @ mats.A.T + mats.E - gain @ gain.T)
-        V = (V + V.T) / 2
-        if not np.all(np.isfinite(V)):
-            raise RiccatiBlowup(f"forward filter diverged at slice {j}")
-        if np.linalg.eigvalsh(V).min() < -1e-8:
-            raise FilterDivergence("conditioned covariance lost positivity")
-        means.append(xbar.copy())
-        covs.append(V.copy())
-    return np.array(means), np.array(covs)
+        xbar = means[j + 1] = xbar + mats.A @ xbar * dt + gains[j] @ innovation
+    return means, covs
 
 
 def crosscheck_against_povm(effect, moments: EffectMoments,

@@ -54,7 +54,8 @@ class FilterDivergence(LintrajError):
 
 
 class RiccatiBlowup(LintrajError):
-    """Backward information filter produced non-finite entries."""
+    """A Riccati flow (the backward information flow or the forward
+    covariance flow) produced non-finite entries."""
 
 
 class CrossCheckFailure(LintrajError):

@@ -304,8 +304,7 @@ def rep_linear_factor(n_modes: int, l_row: np.ndarray | None = None,
     return np.eye(4 * n_modes + 2, dtype=complex) + X
 
 
-def reconstruct_from_factors(dis: DisentangledQuadratic,
-                             t_unused: float | None = None) -> np.ndarray:
+def reconstruct_from_factors(dis: DisentangledQuadratic) -> np.ndarray:
     """Image of the three-factor product; equals the propagator image when the
     disentanglement is consistent."""
     n = dis.n_modes

@@ -142,8 +142,7 @@ def integrate_nonlinear_sme(spec: SystemSpec, rho0: FockDensityMatrix,
         rho = 0.5 * (rho + rho.conj().T)
         rho = rho / np.trace(rho).real
     _check_tail(rho, spec.n_modes, dim, config.tail_tol, f"t={config.t_final}")
-    record = MeasurementRecord(dt=dt, steps=config.steps, y=y, seed=config.seed,
-                               statistics_mode="conditioned")
+    record = MeasurementRecord(dt=dt, steps=config.steps, y=y)
     final = FockDensityMatrix(n_modes=spec.n_modes, dim_per_mode=dim, rho=rho)
     return final, record
 

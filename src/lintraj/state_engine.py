@@ -401,46 +401,37 @@ class EnsemblePropagator:
         """Engine for every record evolved over ``blocks``: disentangles once."""
         return cls(EvolutionFactors.from_blocks(blocks), dim, blocks=blocks)
 
-    def _propagate(self, v: np.ndarray, l_under: np.ndarray,
-                   r_under: np.ndarray) -> np.ndarray:
+    def propagate_vec(self, v0: np.ndarray, l_under: np.ndarray,
+                      r_under: np.ndarray, sigma: complex) -> np.ndarray:
+        """exp(S_cre) exp(S_num) exp(S_ann) on vec(rho0) for one record,
+        including the scalar exp(delta' + sigma).  No checks."""
         side = self.dim ** self.n_modes
         k_l = reduce(np.kron, [lowering_exp(c, self.dim) for c in l_under])
         k_r = reduce(np.kron, [lowering_exp(c, self.dim) for c in r_under]).T
-        v = _apply_exponential(k_l, None, v, side)
+        v = _apply_exponential(k_l, None, v0, side)
         if self.core is not None:
             v = self.core @ v
         else:
             for s in self._quadratic:
                 v = expm_multiply(s, v)
-        return _apply_exponential(k_r, None, v, side)
-
-    def propagate_vec(self, v0: np.ndarray, l_under: np.ndarray,
-                      r_under: np.ndarray, sigma: complex) -> np.ndarray:
-        """exp(S_cre) exp(S_num) exp(S_ann) on vec(rho0) for one record,
-        including the scalar exp(delta' + sigma).  No checks."""
-        return self._propagate(v0, l_under, r_under) * np.exp(self.delta_prime
-                                                              + sigma)
+        v = _apply_exponential(k_r, None, v, side)
+        return v * np.exp(self.delta_prime + sigma)
 
     def evolve(self, rho0: FockDensityMatrix, l_under: np.ndarray,
-               r_under: np.ndarray, sigma: complex,
-               tail_tol: float = DEFAULT_TAIL_TOL,
-               include_scalar: bool = True) -> FockDensityMatrix:
+               r_under: np.ndarray, sigma: complex) -> FockDensityMatrix:
         """Evolved, unnormalized state of one record, checked for Hermiticity
-        and for tail population above ``tail_tol``.
+        and for tail population above ``DEFAULT_TAIL_TOL``.
 
-        The result carries the record-independent scalar exp(delta' + sigma)
-        when ``include_scalar`` (default); multiplying by exp(h) then gives
-        the full linear-evolution state whose trace weights the record
-        probability.
+        The result carries the record-independent scalar exp(delta' + sigma);
+        multiplying by exp(h) then gives the full linear-evolution state whose
+        trace weights the record probability.
         """
         if rho0.n_modes != self.n_modes or rho0.dim_per_mode != self.dim:
             raise DimensionMismatch(
                 f"state has {rho0.n_modes} mode(s) x {rho0.dim_per_mode} "
                 f"levels; engine has {self.n_modes} x {self.dim}")
-        v = self._propagate(rho0.rho.reshape(-1, order="F").astype(complex),
-                            l_under, r_under)
-        if include_scalar:
-            v = v * np.exp(self.delta_prime + sigma)
+        v = self.propagate_vec(rho0.rho.reshape(-1, order="F").astype(complex),
+                               l_under, r_under, sigma)
         if not np.all(np.isfinite(v)):
             raise MatrixExpFailure("evolved state has non-finite entries")
         out = FockDensityMatrix(n_modes=self.n_modes, dim_per_mode=self.dim,
@@ -448,8 +439,9 @@ class EnsemblePropagator:
                                 is_normalized=False)
         out.check_hermitian()
         tail = out.tail_mass()
-        if tail > tail_tol:
-            raise TruncationOverflow(f"tail population {tail:.3e} > {tail_tol:.1e}")
+        if tail > DEFAULT_TAIL_TOL:
+            raise TruncationOverflow(
+                f"tail population {tail:.3e} > {DEFAULT_TAIL_TOL:.1e}")
         return out
 
     def evolve_record(self, rho0: FockDensityMatrix,
@@ -465,23 +457,20 @@ class EnsemblePropagator:
         return self.evolve(rho0, l_u[:n], r_u[:n], sigma)
 
 
-def apply_evolution(rho0: FockDensityMatrix, factors: EvolutionFactors,
-                    tail_tol: float = DEFAULT_TAIL_TOL,
-                    include_scalar: bool = True) -> FockDensityMatrix:
+def apply_evolution(rho0: FockDensityMatrix,
+                    factors: EvolutionFactors) -> FockDensityMatrix:
     """Evolved, unnormalized state of one record: a one-record call into
     :class:`EnsemblePropagator` (see :meth:`EnsemblePropagator.evolve`)."""
     engine = EnsemblePropagator(factors, rho0.dim_per_mode)
-    return engine.evolve(rho0, factors.l_under, factors.r_under, factors.sigma,
-                         tail_tol=tail_tol, include_scalar=include_scalar)
+    return engine.evolve(rho0, factors.l_under, factors.r_under, factors.sigma)
 
 
 def normalize_and_trace(state: FockDensityMatrix) -> tuple[FockDensityMatrix, float]:
     """(state / trace, trace).
 
-    For a state evolved by :func:`apply_evolution` with its default scalar,
-    trace * exp(Re h) * (reference record density) is the physical record
-    probability density; with ``include_scalar=False`` the weight carries
-    exp(h + delta' + sigma) instead.
+    For a state evolved by :func:`apply_evolution`, which carries the scalar
+    exp(delta' + sigma), trace * exp(Re h) * (reference record density) is the
+    physical record probability density.
     """
     tr = state.trace()
     if not np.isfinite(tr.real) or tr.real <= 0:
@@ -502,20 +491,17 @@ def expectation(state: FockDensityMatrix, observable: np.ndarray) -> complex:
 
 
 def apply_evolution_power_series(rho0: FockDensityMatrix,
-                                 factors: EvolutionFactors,
-                                 max_order: int | None = None) -> FockDensityMatrix:
+                                 factors: EvolutionFactors) -> FockDensityMatrix:
     """Single-mode alternative route: expand the partner-mode couplings of the
     fully normal-ordered evolution as a quadruple power series.
 
     Independent of the Kronecker-lift route; used as a cross-check.  The sum
-    is truncated at total order max_order (default 4 * dim), a purely
-    numerical choice.
+    is truncated at total order 4 * dim, a purely numerical choice.
     """
     if rho0.n_modes != 1:
         raise DimensionMismatch("power-series route is single-mode only")
     dim = rho0.dim_per_mode
-    if max_order is None:
-        max_order = 4 * dim
+    max_order = 4 * dim
     a, ad, _ = fock_operators(dim)
     d_full = np.block([[factors.D_under, factors.D_breve],
                        [factors.D_breve.conj(), factors.D_under.conj()]])

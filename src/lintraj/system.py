@@ -15,7 +15,6 @@ The ``2L`` real measurement currents satisfy
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,8 +293,3 @@ def spec_to_config(spec: SystemSpec) -> dict:
         "M_im": spec.M.imag.ravel().tolist(),
         "tol": spec.tol,
     }
-
-
-def load_spec(path: str) -> SystemSpec:
-    with open(path) as fh:
-        return spec_from_config(json.load(fh))

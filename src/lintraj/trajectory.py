@@ -7,11 +7,12 @@ blocks evaluated at ``t = j dt``.  All sums follow the Ito convention.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, FilterDivergence, MatrixExpFailure
+from .errors import ConfigError, DimensionMismatch, MatrixExpFailure
 from .lie_rep import PropagatorBlocks, RepMatrix, flip, propagator_powers
 from .parameterization import NoiseCouplings
 from .system import SystemSpec
@@ -28,8 +29,6 @@ class MeasurementRecord:
     dt: float
     steps: int
     y: np.ndarray
-    seed: int | None = None
-    statistics_mode: str = "ostensible"
 
     @property
     def t_final(self) -> float:
@@ -86,8 +85,7 @@ def sample_ostensible_record(spec: SystemSpec, dt: float, t_final: float,
     y = np.zeros((steps, 2 * spec.n_channels))
     mask = spec.monitored
     y[:, mask] = rng.normal(size=(steps, int(mask.sum()))) / np.sqrt(dt)
-    return MeasurementRecord(dt=dt, steps=steps, y=y, seed=seed,
-                             statistics_mode="ostensible")
+    return MeasurementRecord(dt=dt, steps=steps, y=y)
 
 
 def sample_conditioned_record_gaussian(spec: SystemSpec, mean: np.ndarray,
@@ -98,11 +96,12 @@ def sample_conditioned_record_gaussian(spec: SystemSpec, mean: np.ndarray,
     """Records with the physical statistics of a Gaussian initial state.
 
     Runs the forward conditioned filter: y dt = 2 B xbar dt + dw with
-    dw ~ Normal(0, dt) on monitored components.  With ``n_traj`` set, returns
-    a (n_traj, steps, 2L) array of records sharing the deterministic
-    covariance flow; otherwise a single MeasurementRecord.
+    dw ~ Normal(0, dt) on monitored components, over the record-independent
+    covariance flow :func:`~lintraj.adjoint_kalman.forward_covariance_flow`.
+    With ``n_traj`` set, returns a (n_traj, steps, 2L) array of records
+    sharing that flow; otherwise a single MeasurementRecord.
     """
-    from .adjoint_kalman import kalman_matrices
+    from .adjoint_kalman import forward_covariance_flow, kalman_matrices
 
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -110,30 +109,24 @@ def sample_conditioned_record_gaussian(spec: SystemSpec, mean: np.ndarray,
     if rng is None:
         rng = np.random.default_rng(seed)
     mats = kalman_matrices(spec)
+    gains, _ = forward_covariance_flow(mats, cov, dt, steps)
     mask = spec.monitored
-    n2 = 2 * spec.n_modes
     single = n_traj is None
     m_traj = 1 if single else n_traj
 
     xbar = np.tile(np.asarray(mean, dtype=float), (m_traj, 1))
-    V = np.asarray(cov, dtype=float).copy()
-    y_out = np.zeros((m_traj, steps, 2 * spec.n_channels))
+    # time-major, so each step fills one contiguous slab; the ensemble is
+    # returned as a (n_traj, steps, 2L) view of it
+    y_out = np.zeros((steps, m_traj, 2 * spec.n_channels))
+    dw = np.zeros((m_traj, 2 * spec.n_channels))
     two_b = 2.0 * mats.B
     for j in range(steps):
-        gain = 2.0 * V @ mats.B.T - mats.S.T          # (2N, 2L)
-        dw = np.zeros((m_traj, 2 * spec.n_channels))
         dw[:, mask] = rng.normal(size=(m_traj, int(mask.sum()))) * np.sqrt(dt)
-        ydt = xbar @ two_b.T * dt + dw
-        y_out[:, j, :] = ydt / dt
-        xbar = xbar + xbar @ mats.A.T * dt + dw @ gain.T
-        V = V + dt * (mats.A @ V + V @ mats.A.T + mats.E - gain @ gain.T)
-        wmin = np.linalg.eigvalsh((V + V.T) / 2).min()
-        if wmin < -1e-8:
-            raise FilterDivergence(f"conditioned covariance eigenvalue {wmin:.2e}")
+        y_out[j] = (xbar @ two_b.T * dt + dw) / dt
+        xbar = xbar + xbar @ mats.A.T * dt + dw @ gains[j].T
     if single:
-        return MeasurementRecord(dt=dt, steps=steps, y=y_out[0], seed=seed,
-                                 statistics_mode="conditioned")
-    return y_out
+        return MeasurementRecord(dt=dt, steps=steps, y=y_out[:, 0])
+    return y_out.transpose(1, 0, 2)
 
 
 class BlockTable:
@@ -281,11 +274,19 @@ def record_to_csv(record: MeasurementRecord, path: str, header_comment: str = ""
 
 
 def record_from_csv(path: str, dt: float | None = None) -> MeasurementRecord:
+    """Read a :func:`record_to_csv` file; ConfigError on a malformed one."""
     with open(path) as fh:
         header = next((line for line in fh if not line.startswith("#")), "")
         if header.strip().split(",")[0] != "t":
-            raise ValueError("record CSV must start with a 't' column")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            raise ConfigError(f"record CSV {path} must start with a 't' column")
+        try:
+            # loadtxt warns on an empty body; that case is raised below
+            with warnings.catch_warnings(action="ignore"):
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"malformed record CSV {path}: {exc}") from None
+    if len(data) == 0:
+        raise ConfigError(f"record CSV {path} has no data rows")
     times, y = data[:, 0], data[:, 1:]
     if dt is None:
         dt = float(times[1] - times[0]) if len(times) > 1 else float(times[0])

@@ -135,3 +135,92 @@ def einsum_accumulation(table, couplings, y):
     h = (np.einsum("sjm,sjm->s", dl_p, cum)
          + 0.5 * np.einsum("sjm,sjm->s", dl_p, dr_p))
     return l_prime, r_prime, h
+
+
+def euler_backward(mats, record):
+    """Test oracle for ``integrate_backward``: the explicit-Euler information
+    filter for (z, Lambda), stepped back over the record from a flat effect.
+    A~, Cm and 4 B^T B are read from the blocks of the linear Riccati flow."""
+    from lintraj.adjoint_kalman import (
+        EffectMoments,
+        _moments_from_information,
+        _riccati_flow_matrix,
+    )
+
+    n2 = 2 * mats.n_modes
+    flow = _riccati_flow_matrix(mats)
+    a_t, cm, q4 = -flow[:n2, :n2], flow[:n2, n2:], flow[n2:, :n2]
+    dt = record.dt
+    lam = np.zeros((n2, n2))
+    z = np.zeros(n2)
+    for j in range(record.steps - 1, -1, -1):
+        dz = ((a_t - cm @ lam).T @ z * dt
+              + (2.0 * mats.B.T + lam @ mats.S.T) @ record.y[j] * dt)
+        dlam = (lam @ a_t + a_t.T @ lam - lam @ cm @ lam + q4) * dt
+        z = z + dz
+        lam = lam + dlam
+    x, V, keep = _moments_from_information(mats.n_modes, z, lam)
+    return EffectMoments(n_modes=mats.n_modes, z=z, Lambda=lam, x=x, V=V,
+                         informative=keep)
+
+
+def inverse_backward_sweep(mats, record, n_samples):
+    """Test oracle for ``backward_sweep``: the same exact flow, with the
+    record kernel X^T (2 B^T + Lambda S^T) formed from Lambda = Y X^{-1} at
+    every step.  Returns (xs at the samples, final z)."""
+    from scipy.linalg import expm
+
+    from lintraj.adjoint_kalman import (
+        _moments_from_information,
+        _riccati_flow_matrix,
+    )
+
+    steps, dt = record.steps, record.dt
+    n2 = 2 * mats.n_modes
+    step = expm(_riccati_flow_matrix(mats) * dt)
+    xy = np.vstack([np.eye(n2), np.zeros((n2, n2))])
+    w = np.zeros(n2)
+    sample_every = max(1, steps // max(1, n_samples - 1))
+    xs = []
+
+    def emit():
+        X, Y = xy[:n2], xy[n2:]
+        lam = Y @ np.linalg.inv(X)
+        z = np.linalg.solve(X.T, w)
+        xs.append(_moments_from_information(mats.n_modes, z, lam)[0])
+        return z
+
+    z = emit()
+    for k_back in range(1, steps + 1):
+        X, Y = xy[:n2], xy[n2:]
+        lam_s = Y @ np.linalg.inv(X)
+        w = w + X.T @ ((2.0 * mats.B.T + lam_s @ mats.S.T)
+                       @ record.y[steps - k_back]) * dt
+        xy = step @ xy
+        if k_back % sample_every == 0 or k_back == steps:
+            z = emit()
+    return np.array(xs), z
+
+
+def loop_conditioned_records(spec, mean, cov, dt, t_final, rng, n_traj=None):
+    """Test oracle for ``sample_conditioned_record_gaussian``: the forward
+    filter with the covariance stepped inside the per-step draw loop (one
+    ``rng.normal(size=(n_traj, monitored))`` per step).  Returns the
+    (n_traj or 1, steps, 2L) currents."""
+    from lintraj.adjoint_kalman import kalman_matrices
+
+    steps = int(round(t_final / dt))
+    mats = kalman_matrices(spec)
+    mask = spec.monitored
+    m_traj = 1 if n_traj is None else n_traj
+    xbar = np.tile(np.asarray(mean, dtype=float), (m_traj, 1))
+    V = np.asarray(cov, dtype=float).copy()
+    y_out = np.zeros((m_traj, steps, 2 * spec.n_channels))
+    for j in range(steps):
+        gain = 2.0 * V @ mats.B.T - mats.S.T
+        dw = np.zeros((m_traj, 2 * spec.n_channels))
+        dw[:, mask] = rng.normal(size=(m_traj, int(mask.sum()))) * np.sqrt(dt)
+        y_out[:, j, :] = (xbar @ (2.0 * mats.B).T * dt + dw) / dt
+        xbar = xbar + xbar @ mats.A.T * dt + dw @ gain.T
+        V = V + dt * (mats.A @ V + V @ mats.A.T + mats.E - gain @ gain.T)
+    return y_out

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from conftest import euler_backward, inverse_backward_sweep, random_spec
+from scipy.linalg import expm
 
 from lintraj.adjoint_kalman import (
+    _riccati_flow_matrix,
     backward_covariance,
+    backward_sweep,
     crosscheck_against_povm,
     forward_filter,
     integrate_backward,
     kalman_matrices,
 )
-from lintraj.errors import CrossCheckFailure
+from lintraj.errors import CrossCheckFailure, FilterDivergence, RiccatiBlowup
 from lintraj.lie_rep import povm_blocks, rep_of_generator
 from lintraj.parameterization import compute_generator, compute_noise_couplings
 from lintraj.povm import effect_from_blocks, optomech_closed_form
@@ -22,9 +26,12 @@ from lintraj.trajectory import (
     BlockTable,
     MeasurementRecord,
     accumulate_integrals,
+    sample_conditioned_record_gaussian,
     sample_ostensible_record,
     stochastic_d,
 )
+
+OPTOMECH = (1.0, 1.0, 0.4, 0.2, 0.3)       # mu, eta, gamma, K_th, chi
 
 
 def test_homodyne_kalman_matrices():
@@ -85,8 +92,8 @@ def test_backward_covariance_is_record_independent():
     mats = kalman_matrices(spec)
     rec1 = sample_ostensible_record(spec, 1e-3, 0.8, seed=1)
     rec2 = sample_ostensible_record(spec, 1e-3, 0.8, seed=2)
-    m1 = integrate_backward(mats, rec1, method="euler")
-    m2 = integrate_backward(mats, rec2, method="euler")
+    m1 = euler_backward(mats, rec1)
+    m2 = euler_backward(mats, rec2)
     assert np.abs(m1.Lambda - m2.Lambda).max() < 1e-12
 
 
@@ -121,8 +128,8 @@ def test_euler_backward_converges_to_exact_flow():
         y = np.zeros((steps, 4))
         y[:, 0] = dw.reshape(steps, agg).sum(axis=1) / dt
         rec = MeasurementRecord(dt=dt, steps=steps, y=y)
-        exact = integrate_backward(mats, rec, method="exact")
-        euler = integrate_backward(mats, rec, method="euler")
+        exact = integrate_backward(mats, rec)
+        euler = euler_backward(mats, rec)
         errs.append(max(abs(euler.x[0] - exact.x[0]),
                         abs(euler.Lambda[0, 0] - exact.Lambda[0, 0])))
     order = np.log(errs[0] / errs[1]) / np.log(4.0)
@@ -238,3 +245,71 @@ def test_crosscheck_optomech_two_route_variances():
     cf = optomech_closed_form(mu * eta, gamma, K_th, chi, span)
     assert abs(V[0, 0] - (cf.sigma_x2 - 0.5)) < 1e-10
     assert abs(V[1, 1] - (cf.sigma_p2 - 0.5)) < 1e-10
+
+
+def _flow_specs(rng):
+    return {"optomech": builtin_optomech_squeezing(*OPTOMECH),
+            "random N=1": random_spec(1, 2, rng),
+            "random N=2": random_spec(2, 2, rng)}
+
+
+def test_riccati_flow_keeps_xy_lagrangian(rng):
+    # X^T Y = Y^T X along the flow is what lets backward_sweep skip X^{-1}
+    for name, spec in _flow_specs(rng).items():
+        mats = kalman_matrices(spec)
+        n2 = 2 * mats.n_modes
+        step = expm(_riccati_flow_matrix(mats) * 1e-3)
+        xy = np.vstack([np.eye(n2), np.zeros((n2, n2))])
+        for _ in range(5000):                  # 5 time units
+            xy = step @ xy
+            xty = xy[:n2].T @ xy[n2:]
+            assert (np.abs(xty - xty.T).max()
+                    <= 1e-12 * np.abs(xty).max()), name
+
+
+def _assert_sweep_matches_inverse_oracle(mats, rec, n_samples=25):
+    _, xs, _, moments = backward_sweep(mats, rec, n_samples)
+    xs_ref, z_ref = inverse_backward_sweep(mats, rec, n_samples)
+    assert np.abs(moments.z - z_ref).max() <= 1e-12 * np.abs(z_ref).max()
+    assert xs.shape == xs_ref.shape
+    for x, x_ref in zip(xs, xs_ref):
+        finite = np.isfinite(x_ref)
+        assert (np.isfinite(x) == finite).all()
+        assert (np.abs(x[finite] - x_ref[finite]).max(initial=0.0)
+                <= 1e-12 * np.abs(x_ref[finite]).max(initial=0.0))
+
+
+def test_backward_sweep_matches_inverse_oracle_long_homodyne():
+    spec = builtin_homodyne_thermal(1.0, 0.3, 0.7)
+    rec = sample_ostensible_record(spec, 1e-4, 5.0, seed=11)   # 5e4 steps
+    _assert_sweep_matches_inverse_oracle(kalman_matrices(spec), rec)
+
+
+def test_backward_sweep_matches_inverse_oracle(rng):
+    for name, spec in _flow_specs(rng).items():
+        rec = sample_ostensible_record(spec, 1e-3, 2.0, rng=rng)
+        _assert_sweep_matches_inverse_oracle(kalman_matrices(spec), rec)
+
+
+def test_forward_flow_raises_riccati_blowup():
+    spec = builtin_homodyne_thermal(1.0, 0.3, 0.7)
+    mats = kalman_matrices(spec)
+    cov = 1e200 * np.eye(2)
+    rec = sample_ostensible_record(spec, 1e-3, 0.1, seed=1)
+    with pytest.raises(RiccatiBlowup):
+        forward_filter(mats, np.zeros(2), cov, rec)
+    with pytest.raises(RiccatiBlowup):
+        sample_conditioned_record_gaussian(spec, np.zeros(2), cov, 1e-3, 0.1,
+                                           n_traj=3)
+
+
+def test_forward_flow_raises_filter_divergence():
+    # one Euler step this long drives V_xx = 10 below zero
+    spec = builtin_homodyne_thermal(1.0, 0.3, 0.7)
+    mats = kalman_matrices(spec)
+    cov = 10.0 * np.eye(2)
+    rec = sample_ostensible_record(spec, 0.5, 1.0, seed=1)
+    with pytest.raises(FilterDivergence):
+        forward_filter(mats, np.zeros(2), cov, rec)
+    with pytest.raises(FilterDivergence):
+        sample_conditioned_record_gaussian(spec, np.zeros(2), cov, 0.5, 1.0)

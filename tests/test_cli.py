@@ -309,6 +309,28 @@ def test_povm_rejects_record_with_wrong_column_count(homodyne_config, tmp_path,
     assert not (tmp_path / "povm.json").exists()
 
 
+MALFORMED_RECORDS = {
+    "header": "x,y_1,y_2,y_3,y_4\n0,0,0,0,0\n0.001,0,0,0,0\n",
+    "ragged": "t,y_1,y_2,y_3,y_4\n0,0,0,0,0\n0.001,0,0,0\n",
+    "non-numeric": "t,y_1,y_2,y_3,y_4\n0,0,0,0,0\n0.001,0,abc,0,0\n",
+    "no rows": "# comment\nt,y_1,y_2,y_3,y_4\n",
+}
+
+
+@pytest.mark.parametrize("command", ["povm", "adjoint"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+def test_malformed_record_csv_is_a_config_error(homodyne_config, tmp_path,
+                                                capsys, command, case):
+    record = tmp_path / "record.csv"
+    record.write_text(MALFORMED_RECORDS[case])
+    assert main([command, "--config", homodyne_config, "--record", str(record),
+                 "--out", str(tmp_path / "out")]) == 2
+    out = capsys.readouterr().out.strip().splitlines()
+    assert len(out) == 1
+    assert json.loads(out[0])["error"] == "ConfigError"
+    assert not (tmp_path / "out").exists()
+
+
 def test_adjoint_command_sweeps_once(homodyne_config, tmp_path, monkeypatch):
     from lintraj import adjoint_kalman
 

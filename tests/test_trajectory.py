@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import einsum_accumulation, random_spec
+from conftest import einsum_accumulation, loop_conditioned_records, random_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -255,6 +255,23 @@ def test_conditioned_record_coherent_initial_current():
     want = 2 * np.sqrt(gamma * eta) * alpha0
     se = first.std() / np.sqrt(len(first))
     assert abs(first.mean() - want) < 4 * se
+
+
+@pytest.mark.parametrize("n_traj", [None, 7])
+def test_conditioned_records_match_per_step_loop(n_traj):
+    # same seed, same draw order: the records follow the oracle that steps the
+    # covariance inside the draw loop
+    spec = builtin_optomech_squeezing(1.0, 1.0, 0.4, 0.2, 0.3)
+    mean0 = np.sqrt(2) * np.array([0.7, -0.4])
+    args = (spec, mean0, 0.5 * np.eye(2), 1e-3, 0.5)
+    got = sample_conditioned_record_gaussian(*args, rng=np.random.default_rng(5),
+                                             n_traj=n_traj)
+    if n_traj is None:
+        got = got.y[None]
+    want = loop_conditioned_records(*args, rng=np.random.default_rng(5),
+                                    n_traj=n_traj)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_stochastic_d_zero_temperature_closed_form():
