@@ -26,15 +26,9 @@ from .lie_rep import (
     normal_order_linear,
     povm_blocks,
     propagator_blocks,
-    reorder_linear_increment,
     rep_of_generator,
 )
-from .oracle_sme import (
-    IntegratorConfig,
-    integrate_linear_sme,
-    integrate_me,
-    integrate_nonlinear_sme,
-)
+from .oracle_sme import integrate_linear_sme, integrate_me
 from .parameterization import (
     NoiseCouplings,
     QuadraticGenerator,

@@ -194,21 +194,6 @@ def backward_moment_trajectory(mats: KalmanMatrices, record: MeasurementRecord,
     return backward_sweep(mats, record, n_samples)[:3]
 
 
-def backward_covariance(mats: KalmanMatrices, sigma: float) -> np.ndarray:
-    """Effect covariance after a backward span sigma, flat start (exact flow).
-
-    Entries along uninformative directions are infinite.
-    """
-    n2 = 2 * mats.n_modes
-    M = _riccati_flow_matrix(mats)
-    prop = expm(M * sigma)
-    X = prop[:n2, :n2]
-    Y = prop[n2:, :n2]
-    lam = Y @ np.linalg.inv(X)
-    _, V, _ = _moments_from_information(mats.n_modes, np.zeros(n2), lam)
-    return V
-
-
 def forward_covariance_flow(mats: KalmanMatrices, cov: np.ndarray,
                             dt: float, steps: int):
     """(gains, covs): the record-independent forward Riccati flow

@@ -66,9 +66,22 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _read_json(path: str, what: str):
+    """Parsed JSON of a user-supplied file; ConfigError if it cannot be read."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc.strerror}") from None
+    except ValueError as exc:     # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"{what} {path!r} is not valid JSON: {exc}") from None
+
+
 def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    cfg = _read_json(path, "config")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path!r} must be a JSON object")
+    return cfg
 
 
 def _manifest(args, cfg: dict) -> tuple[dict, str]:
@@ -99,6 +112,13 @@ def _write_json(path: str, payload: dict, stamp: str) -> None:
         fh.write("\n")
 
 
+def _parse_values(descriptor: str, arg: str, parse):
+    try:
+        return [parse(s) for s in arg.split(",")]
+    except ValueError:
+        raise ConfigError(f"cannot parse --initial {descriptor!r}") from None
+
+
 def _initial_state(descriptor: str, n_modes: int, dim: int):
     if dim < 2:
         raise ConfigError(f"--fock-dim must be >= 2, got {dim}")
@@ -106,14 +126,17 @@ def _initial_state(descriptor: str, n_modes: int, dim: int):
     if kind == "vacuum":
         return vacuum_state(n_modes, dim)
     if kind == "coherent":
-        alphas = [complex(s) for s in arg.split(",")]
-        return coherent_state(n_modes, dim, alphas)
+        return coherent_state(n_modes, dim, _parse_values(descriptor, arg, complex))
     if kind == "fock":
-        return fock_state(n_modes, dim, [int(s) for s in arg.split(",")])
+        return fock_state(n_modes, dim, _parse_values(descriptor, arg, int))
     if kind == "file":
-        with open(arg) as fh:
-            data = json.load(fh)
-        rho = (np.array(data["rho_re"]) + 1j * np.array(data["rho_im"]))
+        data = _read_json(arg, "initial state")
+        try:
+            rho = (np.array(data["rho_re"], dtype=float)
+                   + 1j * np.array(data["rho_im"], dtype=float))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"initial state {arg!r} needs numeric 'rho_re' "
+                              f"and 'rho_im' lists: {exc!r}") from None
         d = dim ** n_modes
         if rho.size != d * d:
             raise DimensionMismatch(

@@ -114,22 +114,6 @@ class PropagatorBlocks:
             c=T[4 * n_modes + 1, 0],
         )
 
-    def assemble(self) -> np.ndarray:
-        """Rebuild the full (4N+2) matrix (inverse of from_matrix)."""
-        m = 2 * self.n_modes
-        dim = 4 * self.n_modes + 2
-        T = np.eye(dim, dtype=complex)
-        T[1:m + 1, 1:m + 1] = self.N11
-        T[1:m + 1, m + 1:2 * m + 1] = self.N1m1
-        T[m + 1:2 * m + 1, 1:m + 1] = self.Nm11
-        T[m + 1:2 * m + 1, m + 1:2 * m + 1] = self.Nm1m1
-        T[1:m + 1, 0] = self.N10
-        T[m + 1:2 * m + 1, 0] = self.Nm10
-        T[dim - 1, 1:m + 1] = self.Nm01
-        T[dim - 1, m + 1:2 * m + 1] = self.Nm0m1
-        T[dim - 1, 0] = self.c
-        return T
-
 
 def propagator_blocks(rep: RepMatrix, t: float) -> PropagatorBlocks:
     """Blocks of expm(rep.matrix * t).
@@ -167,16 +151,6 @@ def propagator_powers(rep: RepMatrix, dt: float, steps: int):
         yield j0, chunk
 
 
-def propagator_grid(rep: RepMatrix, dt: float, steps: int) -> np.ndarray:
-    """All :func:`propagator_powers`, shape (steps, 4N+2, 4N+2)."""
-    out = np.empty((steps, rep.dim, rep.dim), dtype=complex)
-    for j0, chunk in propagator_powers(rep, dt, steps):
-        out[j0:j0 + len(chunk)] = chunk
-    if not np.all(np.isfinite(out)):
-        raise MatrixExpFailure("non-finite entries in propagator grid")
-    return out
-
-
 @dataclass(frozen=True)
 class DisentangledQuadratic:
     """Parameters of exp(creation factor) exp(number factor) exp(annihilation
@@ -187,11 +161,6 @@ class DisentangledQuadratic:
     L_prime: np.ndarray
     D_under: np.ndarray
     delta_prime: complex
-
-    @property
-    def D_prime(self) -> np.ndarray:
-        """Normally ordered form of the number factor: expm(D_under) - 1."""
-        return expm(self.D_under) - np.eye(2 * self.n_modes)
 
 
 def _checked_inverse(block: np.ndarray, what: str) -> np.ndarray:
@@ -234,20 +203,6 @@ def disentangle_quadratic(blocks: PropagatorBlocks) -> DisentangledQuadratic:
                                  delta_prime=delta_prime)
 
 
-def reorder_linear_increment(blocks: PropagatorBlocks, dl: np.ndarray,
-                             dr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Move a linear-exponent factor from the left of the propagator to the right.
-
-    dl is a row (coefficients of b), dr a column (coefficients of b^dag); both
-    length 2N.  The returned pair satisfies
-    exp(b^dag dr + dl b) exp(Q t) = exp(Q t) exp(b^dag dr' + dl' b).
-    """
-    J = flip(2 * blocks.n_modes)
-    dl_p = dl @ blocks.N11 + (J @ dr) @ blocks.Nm11
-    dr_p = J @ (blocks.N1m1.T @ dl + blocks.Nm1m1.T @ (J @ dr))
-    return dl_p, dr_p
-
-
 def normal_order_linear(blocks: PropagatorBlocks, l_prime: np.ndarray,
                         r_prime: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve exp(b^dag r_u) exp(Q t) exp(l_u b) =
@@ -259,9 +214,8 @@ def normal_order_linear(blocks: PropagatorBlocks, l_prime: np.ndarray,
     """
     m = 2 * blocks.n_modes
     J = flip(m)
-    inv_t = _checked_inverse(blocks.Nm1m1.T, "Nm1m1^T")
     inv = _checked_inverse(blocks.Nm1m1, "Nm1m1")
-    r_under = J @ (inv_t @ (J @ r_prime))
+    r_under = J @ (inv.T @ (J @ r_prime))
     l_under = l_prime - (J @ r_prime) @ (inv @ blocks.Nm11)
     return l_under, r_under
 
@@ -293,45 +247,3 @@ def povm_blocks(blocks: PropagatorBlocks) -> np.ndarray:
     inv = _checked_inverse(A, "transformed Nm1m1")
     L_full = -0.5 * J @ inv @ B - 0.5 * half_swap(n)
     return (L_full + L_full.T) / 2.0
-
-
-def rep_linear_factor(n_modes: int, l_row: np.ndarray | None = None,
-                      r_col: np.ndarray | None = None) -> np.ndarray:
-    """Exact image of exp(b^dag r + l b): the image of the exponent is
-    nilpotent of index 2, so this is identity plus the exponent image."""
-    qf = QuadraticForm(n=n_modes, lin_l=l_row, lin_r=r_col)
-    X = rep_of_qform(qf).matrix
-    return np.eye(4 * n_modes + 2, dtype=complex) + X
-
-
-def reconstruct_from_factors(dis: DisentangledQuadratic) -> np.ndarray:
-    """Image of the three-factor product; equals the propagator image when the
-    disentanglement is consistent."""
-    n = dis.n_modes
-    f_r = expm(rep_of_qform(QuadraticForm(n=n, R=dis.R_prime)).matrix)
-    f_d = expm(rep_of_qform(QuadraticForm(n=n, D=dis.D_under,
-                                          const=dis.delta_prime)).matrix)
-    f_l = expm(rep_of_qform(QuadraticForm(n=n, L=dis.L_prime)).matrix)
-    return f_r @ f_d @ f_l
-
-
-def inner_eigenvalues(rep: RepMatrix) -> np.ndarray:
-    """Eigenvalues of the inner 4N x 4N block; they set the evolution timescales."""
-    m = 2 * rep.n_modes
-    return np.linalg.eigvals(rep.matrix[1:2 * m + 1, 1:2 * m + 1])
-
-
-def blocks_to_json(blocks: PropagatorBlocks) -> dict:
-    """Debug dump of the block decomposition."""
-    def enc(a):
-        a = np.asarray(a)
-        return {"re": a.real.tolist(), "im": a.imag.tolist()}
-
-    return {
-        "n_modes": blocks.n_modes, "t": blocks.t,
-        "N11": enc(blocks.N11), "N1m1": enc(blocks.N1m1),
-        "Nm11": enc(blocks.Nm11), "Nm1m1": enc(blocks.Nm1m1),
-        "N10": enc(blocks.N10), "Nm10": enc(blocks.Nm10),
-        "Nm01": enc(blocks.Nm01), "Nm0m1": enc(blocks.Nm0m1),
-        "c": enc(blocks.c),
-    }

@@ -1,13 +1,13 @@
-"""Brute-force truncated-Fock integrators used as correctness oracles.
+"""Brute-force truncated-Fock integrators that the CLI runs as cross-checks.
 
-Euler-Maruyama for the stochastic equations, classical RK4 for the
-deterministic master equation.  These are deliberately simple; they validate
-the analytic pipeline and are not tuned for large truncations.
+Euler-Maruyama for the linear stochastic master equation driven by a given
+record (``lintraj compare`` and ``simulate --compare-oracle``), classical RK4
+for the deterministic master equation (``lintraj me``).  These are
+deliberately simple; they validate the analytic pipeline and are not tuned
+for large truncations.  The nonlinear (normalized) SME lives beside the tests.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,18 +16,8 @@ from .state_engine import FockDensityMatrix, _mode_lowering
 from .system import SystemSpec
 from .trajectory import MeasurementRecord
 
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    dt: float
-    t_final: float
-    fock_dim: int
-    tail_tol: float = 1e-6
-    seed: int | None = 0
-
-    @property
-    def steps(self) -> int:
-        return int(round(self.t_final / self.dt))
+# largest relative population of a top Fock level in a final oracle state
+TAIL_TOL = 1e-6
 
 
 def build_operators(spec: SystemSpec, dim: int):
@@ -73,18 +63,15 @@ def _lindblad_rhs(H, c_ops, cdc_list, rho):
     return out
 
 
-def _check_tail(rho, n_modes, dim, tail_tol, where):
-    state = FockDensityMatrix(n_modes=n_modes, dim_per_mode=dim, rho=rho,
-                              is_normalized=False)
-    tail = state.tail_mass()
-    if tail > tail_tol:
+def _check_tail(rho, n_modes, dim, where):
+    tail = FockDensityMatrix(n_modes=n_modes, dim_per_mode=dim,
+                             rho=rho).tail_mass()
+    if tail > TAIL_TOL:
         raise TruncationOverflow(f"tail population {tail:.3e} at {where}")
 
 
 def integrate_linear_sme(spec: SystemSpec, rho0: FockDensityMatrix,
-                         record: MeasurementRecord,
-                         tail_tol: float = 1e-6,
-                         store_trajectory: bool = False):
+                         record: MeasurementRecord) -> FockDensityMatrix:
     """Unnormalized state driven by a supplied record (Euler-Maruyama).
 
     The measurement term is y^T dt (v_k rho + rho v_k^dag) over monitored
@@ -96,7 +83,6 @@ def integrate_linear_sme(spec: SystemSpec, rho0: FockDensityMatrix,
     cdc = [ck.conj().T @ ck for ck in c_ops]
     rho = rho0.rho.astype(complex).copy()
     dt = record.dt
-    traj = [rho.copy()] if store_trajectory else None
     for j in range(record.steps):
         drho = _lindblad_rhs(H, c_ops, cdc, rho) * dt
         for k, vk in meas_ops.items():
@@ -105,51 +91,12 @@ def integrate_linear_sme(spec: SystemSpec, rho0: FockDensityMatrix,
                 drho += ydt * (vk @ rho + rho @ vk.conj().T)
         rho = rho + drho
         rho = 0.5 * (rho + rho.conj().T)
-        if store_trajectory:
-            traj.append(rho.copy())
-    _check_tail(rho, spec.n_modes, dim, tail_tol, f"t={record.t_final}")
-    final = FockDensityMatrix(n_modes=spec.n_modes, dim_per_mode=dim, rho=rho,
-                              is_normalized=False)
-    return (final, traj) if store_trajectory else final
-
-
-def integrate_nonlinear_sme(spec: SystemSpec, rho0: FockDensityMatrix,
-                            config: IntegratorConfig,
-                            rng: np.random.Generator | None = None):
-    """Normalized conditioned state; generates the record internally.
-
-    y dt = <v_k + v_k^dag> dt + dw_k on monitored components, dw ~ N(0, dt).
-    Returns (final normalized state, record).
-    """
-    dim = rho0.dim_per_mode
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    H, c_ops, meas_ops = build_operators(spec, dim)
-    cdc = [ck.conj().T @ ck for ck in c_ops]
-    rho = rho0.rho.astype(complex).copy()
-    rho = rho / np.trace(rho).real
-    dt = config.dt
-    y = np.zeros((config.steps, 2 * spec.n_channels))
-    for j in range(config.steps):
-        drho = _lindblad_rhs(H, c_ops, cdc, rho) * dt
-        for k, vk in meas_ops.items():
-            mean_k = np.real(np.trace(vk @ rho + rho @ vk.conj().T))
-            dw = rng.normal() * np.sqrt(dt)
-            y[j, k] = mean_k + dw / dt
-            sandwich = vk @ rho + rho @ vk.conj().T
-            drho += dw * (sandwich - mean_k * rho)
-        rho = rho + drho
-        rho = 0.5 * (rho + rho.conj().T)
-        rho = rho / np.trace(rho).real
-    _check_tail(rho, spec.n_modes, dim, config.tail_tol, f"t={config.t_final}")
-    record = MeasurementRecord(dt=dt, steps=config.steps, y=y)
-    final = FockDensityMatrix(n_modes=spec.n_modes, dim_per_mode=dim, rho=rho)
-    return final, record
+    _check_tail(rho, spec.n_modes, dim, f"t={record.t_final}")
+    return FockDensityMatrix(n_modes=spec.n_modes, dim_per_mode=dim, rho=rho)
 
 
 def integrate_me(spec: SystemSpec, rho0: FockDensityMatrix, t_final: float,
-                 dt: float = 1e-3, tail_tol: float = 1e-6,
-                 observables: dict | None = None):
+                 dt: float = 1e-3, observables: dict | None = None):
     """Deterministic master equation via RK4. With ``observables`` given,
     returns (final state, {name: series}) sampled every step."""
     dim = rho0.dim_per_mode
@@ -167,7 +114,7 @@ def integrate_me(spec: SystemSpec, rho0: FockDensityMatrix, t_final: float,
         rho = 0.5 * (rho + rho.conj().T)
         for name, op in (observables or {}).items():
             series[name].append(np.trace(op @ rho))
-    _check_tail(rho, spec.n_modes, dim, tail_tol, f"t={t_final}")
+    _check_tail(rho, spec.n_modes, dim, f"t={t_final}")
     final = FockDensityMatrix(n_modes=spec.n_modes, dim_per_mode=dim, rho=rho)
     if observables:
         return final, {k: np.array(v) for k, v in series.items()}

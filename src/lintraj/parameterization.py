@@ -21,7 +21,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .system import SystemSpec
 
 BLOCK_TOL = 1e-10
@@ -113,35 +112,6 @@ def product_of_linear(n: int, f1: np.ndarray, g1: np.ndarray,
     )
 
 
-def commutator(a: QuadraticForm, b: QuadraticForm) -> QuadraticForm:
-    """Lie bracket [a, b] of two (symmetrized) quadratic forms.
-
-    Closed under the bracket: the result is again a quadratic form.
-    """
-    if a.n != b.n:
-        raise DimensionMismatch("commutator of forms with different mode counts")
-    a = a.symmetrized()
-    b = b.symmetrized()
-    n = a.n
-    out = QuadraticForm(n=n)
-    # quadratic x quadratic
-    out.D += a.D @ b.D - b.D @ a.D
-    out.D += -4.0 * (a.R @ b.L) + 4.0 * (b.R @ a.L)
-    out.const += -2.0 * np.trace(a.R @ b.L) + 2.0 * np.trace(b.R @ a.L)
-    dr = a.D @ b.R - b.D @ a.R
-    out.R += dr + dr.T
-    dl = a.L @ b.D - b.L @ a.D
-    out.L += dl + dl.T
-    # quadratic x linear
-    out.lin_l += (a.lin_l @ b.D) - (b.lin_l @ a.D)
-    out.lin_r += a.D @ b.lin_r - b.D @ a.lin_r
-    out.lin_r += -2.0 * (a.R @ b.lin_l) + 2.0 * (b.R @ a.lin_l)
-    out.lin_l += 2.0 * (b.lin_r @ a.L) - 2.0 * (a.lin_r @ b.L)
-    # linear x linear
-    out.const += a.lin_l @ b.lin_r - b.lin_l @ a.lin_r
-    return out.symmetrized()
-
-
 @dataclass(frozen=True)
 class QuadraticGenerator:
     """The (R, D, L) parameterization of the deterministic generator, plus the
@@ -153,17 +123,7 @@ class QuadraticGenerator:
     L: np.ndarray
     scalar: complex
 
-    @property
-    def blocks(self) -> dict:
-        """Physical-half blocks: for X in (R, D, L), X = [[x, xb], [.., ..]]."""
-        n = self.n_modes
-        return {
-            "R": self.R[:n, :n], "R_breve": self.R[:n, n:],
-            "D": self.D[:n, :n], "D_breve": self.D[:n, n:],
-            "L": self.L[:n, :n], "L_breve": self.L[:n, n:],
-        }
-
-    def check_block_structure(self, tol: float = BLOCK_TOL) -> None:
+    def check_block_structure(self) -> None:
         """Conjugation-pairing structure required for Hermiticity preservation.
 
         For R and L (symmetric full matrices): lower-right block is the
@@ -185,7 +145,7 @@ class QuadraticGenerator:
         resid += [np.abs(d - a.conj()).max(), np.abs(c - b.conj()).max()]
         worst = max(float(r) for r in resid)
         scale = max(1.0, *(float(np.abs(x).max()) for x in (self.R, self.D, self.L)))
-        if worst > tol * scale:
+        if worst > BLOCK_TOL * scale:
             raise ValueError(f"generator violates block pairing: residual {worst:.3e}")
 
 
@@ -257,12 +217,8 @@ def generator_forms(spec: SystemSpec) -> QuadraticForm:
 
 
 def compute_generator(spec: SystemSpec, check: bool = True) -> QuadraticGenerator:
-    """(R, D, L, q0) for a validated spec.
-
-    The closed composite-matrix formulas (see :func:`generator_rdl_composites`)
-    and this normal-ordered construction agree; the latter also supplies the
-    scalar q0, which the composite route does not determine.
-    """
+    """(R, D, L, q0) for a validated spec, by normal-ordered operator
+    algebra (:func:`generator_forms`), which also supplies the scalar q0."""
     qf = generator_forms(spec)
     gen = QuadraticGenerator(n_modes=spec.n_modes, R=qf.R, D=qf.D, L=qf.L,
                              scalar=qf.const)
@@ -272,47 +228,6 @@ def compute_generator(spec: SystemSpec, check: bool = True) -> QuadraticGenerato
            np.abs(qf.lin_r).max(initial=0.0) > 1e-12:
             raise ValueError("deterministic generator acquired linear terms")
     return gen
-
-
-def generator_rdl_composites(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(R, D, L) via the composite-matrix route (no scalar part).
-
-    Uses B = C^dag C, Fc = C^T M* M^dag C, Kc = C^T M* M^T C* and the
-    quadrature-expansion / half-swap conjugations. Kept as an independent
-    cross-check of :func:`compute_generator`.
-    """
-    u = quadrature_expansion(spec.n_modes)
-    swap = half_swap(spec.n_modes)
-    C, M, G = spec.C, spec.M, spec.G
-    B = C.conj().T @ C
-    Fc = C.T @ M.conj() @ M.conj().T @ C
-    Kc = C.T @ M.conj() @ M.T @ C.conj()
-
-    def tt(a):
-        return u.T @ a @ u
-
-    def ts(a):
-        return u.T @ a @ u.conj()
-
-    def dd(a):
-        return u.conj().T @ a @ u
-
-    def ds(a):
-        return u.conj().T @ a @ u.conj()
-
-    def bar(a):
-        return swap @ a @ swap
-
-    L = (-0.5j * (tt(G) - bar(ds(G))) + swap @ dd(B) - 0.5 * tt(B)
-         - 0.5 * (bar(ds(B.conj())) + tt(Fc) + ts(Kc) @ swap
-                  + swap @ dd(Kc.conj()) + bar(ds(Fc.conj().T))))
-    R = (-0.5j * (ds(G) - bar(tt(G))) + swap @ ts(B) - 0.5 * ds(B)
-         - 0.5 * (bar(tt(B.conj())) + ds(Fc) + dd(Kc) @ swap
-                  + swap @ ts(Kc.conj()) + bar(tt(Fc.conj().T))))
-    D = (-1.0j * (dd(G) - bar(ts(G))) + swap @ tt(B) + ds(B.conj()) @ swap
-         - 0.5 * (dd(B) + dd(B.conj()) + bar(ts(B)) + bar(ts(B.conj())))
-         - (dd(Fc) + ds(Kc) @ swap + swap @ tt(Kc.conj()) + bar(ts(Fc.conj().T))))
-    return (R + R.T) / 2.0, D, (L + L.T) / 2.0
 
 
 def compute_noise_couplings(spec: SystemSpec) -> NoiseCouplings:

@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
-from .errors import DimensionMismatch, LogBranchFailure, SingularInformationMatrix
+from .errors import DimensionMismatch, SingularInformationMatrix
 from .trajectory import MeasurementRecord
 
 INFO_TOL = 1e-12
@@ -53,10 +52,6 @@ class GaussianEffect:
     phi: np.ndarray = field(repr=False)
     info_vectors: np.ndarray = field(repr=False)   # (2N, r) eigenvectors
     info_values: np.ndarray = field(repr=False)    # r negative eigenvalues
-
-    @property
-    def rank(self) -> int:
-        return self.info_vectors.shape[1]
 
     def xi(self) -> np.ndarray:
         """d in stacked real coordinates (Re d; Im d)."""
@@ -92,19 +87,13 @@ class GaussianEffect:
         return 2.0 * perm @ self.alpha_covariance() @ perm.T
 
 
-def effect_from_blocks(lpp_full: np.ndarray, d: np.ndarray,
-                       n_modes: int | None = None) -> GaussianEffect:
-    """Build the effect from the 2N x 2N quadratic-parameter matrix and d.
-
-    Accepts either the full matrix from :func:`lintraj.lie_rep.povm_blocks`
-    or, with ``n_modes`` given explicitly, a pair stacked as [[Lpp, breve]].
-    """
+def effect_from_blocks(lpp_full: np.ndarray, d: np.ndarray) -> GaussianEffect:
+    """Build the effect from the 2N x 2N quadratic-parameter matrix of
+    :func:`lintraj.lie_rep.povm_blocks` and d."""
     lpp_full = np.asarray(lpp_full, dtype=complex)
-    if n_modes is None:
-        n_modes = lpp_full.shape[0] // 2
-    n = n_modes
+    n = lpp_full.shape[0] // 2
     lpp = lpp_full[:n, :n]
-    lpp_breve = lpp_full[:n, n:2 * n]
+    lpp_breve = lpp_full[:n, n:]
     d = np.atleast_1d(np.asarray(d, dtype=complex))
     if d.shape != (n,):
         raise DimensionMismatch(f"d must have length {n}")
@@ -156,15 +145,6 @@ class GaussianPosterior:
     mean: np.ndarray            # complex N-vector
     information: np.ndarray     # (2N, 2N) over (Re alpha; Im alpha)
     covariance: np.ndarray      # inf along flat directions
-
-    def std_quadratures(self) -> np.ndarray:
-        """Retrodictive standard deviations of (q1, p1, ...)."""
-        n = self.n_modes
-        out = np.empty(2 * n)
-        for i in range(n):
-            out[2 * i] = np.sqrt(2.0 * self.covariance[i, i])
-            out[2 * i + 1] = np.sqrt(2.0 * self.covariance[n + i, n + i])
-        return out
 
 
 def retrodict_posterior(effect: GaussianEffect, prior_mean=None,
@@ -273,25 +253,6 @@ def optomech_closed_form(mu_eff: float, gamma: float, K: float, chi: float,
     return OptomechClosedForm(Lpp=lpp, Lpp_breve=lpp_breve, sigma_x2=sigma_x2,
                               sigma_p2=sigma_p2, Gamma_plus=g_p, Gamma_minus=g_m,
                               d=d)
-
-
-def effect_fock_operator(effect: GaussianEffect, dim: int) -> np.ndarray:
-    """Dense W_d on a single-mode truncation (oracle for Q-function tests)."""
-    if effect.n_modes != 1:
-        raise DimensionMismatch("Fock realization implemented for one mode")
-    from .state_engine import fock_operators
-
-    a, ad, nop = fock_operators(dim)
-    lpp = complex(effect.Lpp[0, 0])
-    lb = complex(effect.Lpp_breve[0, 0])
-    dval = complex(effect.d[0])
-    base = 1.0 + 2.0 * lb
-    if base.real <= 0:
-        raise LogBranchFailure("1 + 2 Lpp_breve must have positive real part")
-    left = expm(dval * ad + lpp * (ad @ ad))
-    mid = expm(np.log(base) * nop)
-    right = expm(np.conj(lpp) * (a @ a) + np.conj(dval) * a)
-    return np.exp(effect.log_norm) * (left @ mid @ right)
 
 
 def effect_to_json(effect: GaussianEffect) -> dict:

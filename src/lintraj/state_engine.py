@@ -41,14 +41,12 @@ from scipy.sparse.linalg import expm_multiply
 
 from .errors import (
     DimensionMismatch,
-    LogBranchFailure,
     MatrixExpFailure,
     NonHermitianResult,
     TruncationOverflow,
     ZeroTrace,
 )
 from .lie_rep import (
-    DisentangledQuadratic,
     PropagatorBlocks,
     disentangle_quadratic,
     normal_order_linear,
@@ -108,7 +106,6 @@ class FockDensityMatrix:
     n_modes: int
     dim_per_mode: int
     rho: np.ndarray
-    is_normalized: bool = True
 
     @property
     def dim(self) -> int:
@@ -130,10 +127,10 @@ class FockDensityMatrix:
             worst = max(worst, float(np.abs(pops[tuple(sl)].sum())) / abs(total))
         return worst
 
-    def check_hermitian(self, tol: float = HERMITICITY_TOL) -> None:
+    def check_hermitian(self) -> None:
         scale = max(1.0, float(np.abs(self.rho).max()))
         dev = float(np.abs(self.rho - self.rho.conj().T).max())
-        if dev > tol * scale:
+        if dev > HERMITICITY_TOL * scale:
             raise NonHermitianResult(f"Hermiticity deviation {dev:.3e}")
 
     def purity(self) -> float:
@@ -148,7 +145,13 @@ def vacuum_state(n_modes: int, dim: int) -> FockDensityMatrix:
 
 
 def fock_state(n_modes: int, dim: int, levels) -> FockDensityMatrix:
+    """Product Fock state with one level per mode, each in [0, dim)."""
     levels = np.atleast_1d(levels)
+    if levels.shape != (n_modes,):
+        raise DimensionMismatch(f"{levels.size} Fock level(s) for {n_modes} mode(s)")
+    if np.any(levels < 0) or np.any(levels >= dim):
+        raise DimensionMismatch(f"Fock levels {levels.tolist()} outside "
+                                f"0..{dim - 1} of a {dim}-level truncation")
     idx = 0
     for lv in levels:
         idx = idx * dim + int(lv)
@@ -158,10 +161,12 @@ def fock_state(n_modes: int, dim: int, levels) -> FockDensityMatrix:
 
 
 def coherent_state(n_modes: int, dim: int, alpha) -> FockDensityMatrix:
-    """Product coherent state, renormalized on the truncation."""
-    from math import factorial
-
+    """Product coherent state, one amplitude per mode, renormalized on the
+    truncation."""
     alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
+    if alpha.shape != (n_modes,):
+        raise DimensionMismatch(f"{alpha.size} coherent amplitude(s) for "
+                                f"{n_modes} mode(s)")
     psi = np.array([1.0], dtype=complex)
     for a in alpha:
         ns = np.arange(dim)
@@ -177,8 +182,8 @@ def coherent_state(n_modes: int, dim: int, alpha) -> FockDensityMatrix:
 class EvolutionFactors:
     """Physical-half parameters of the three-factor evolution at time t.
 
-    r_under/l_under are the normal-ordered linear coefficients; log_scalar is
-    delta' + sigma (everything except the record scalar h)."""
+    r_under/l_under are the normal-ordered linear coefficients; the scalar
+    exponent delta' + sigma is everything except the record scalar h."""
 
     n_modes: int
     t: float
@@ -195,11 +200,9 @@ class EvolutionFactors:
 
     @classmethod
     def from_blocks(cls, blocks: PropagatorBlocks,
-                    integrals: TrajectoryIntegrals | None = None,
-                    dis: DisentangledQuadratic | None = None) -> "EvolutionFactors":
+                    integrals: TrajectoryIntegrals | None = None) -> "EvolutionFactors":
         n = blocks.n_modes
-        if dis is None:
-            dis = disentangle_quadratic(blocks)
+        dis = disentangle_quadratic(blocks)
         if integrals is None:
             l_u = np.zeros(2 * n, dtype=complex)
             r_u = np.zeros(2 * n, dtype=complex)
@@ -216,11 +219,6 @@ class EvolutionFactors:
             r_under=r_u[:n], l_under=l_u[:n],
             delta_prime=dis.delta_prime, sigma=complex(sigma),
         )
-
-    @property
-    def log_scalar(self) -> complex:
-        """Record-independent scalar exponent of the evolution operator."""
-        return self.delta_prime + self.sigma
 
 
 def _lift_left(X: sp.spmatrix, dim: int) -> sp.spmatrix:
@@ -435,8 +433,7 @@ class EnsemblePropagator:
         if not np.all(np.isfinite(v)):
             raise MatrixExpFailure("evolved state has non-finite entries")
         out = FockDensityMatrix(n_modes=self.n_modes, dim_per_mode=self.dim,
-                                rho=v.reshape((rho0.dim, rho0.dim), order="F"),
-                                is_normalized=False)
+                                rho=v.reshape((rho0.dim, rho0.dim), order="F"))
         out.check_hermitian()
         tail = out.tail_mass()
         if tail > DEFAULT_TAIL_TOL:
@@ -479,8 +476,8 @@ def normalize_and_trace(state: FockDensityMatrix) -> tuple[FockDensityMatrix, fl
         raise ZeroTrace(f"trace {tr} has a large imaginary part")
     rho = state.rho / tr.real
     return (FockDensityMatrix(n_modes=state.n_modes,
-                              dim_per_mode=state.dim_per_mode, rho=rho,
-                              is_normalized=True), tr.real)
+                              dim_per_mode=state.dim_per_mode, rho=rho),
+            tr.real)
 
 
 def expectation(state: FockDensityMatrix, observable: np.ndarray) -> complex:
@@ -488,66 +485,6 @@ def expectation(state: FockDensityMatrix, observable: np.ndarray) -> complex:
         raise DimensionMismatch(
             f"observable {observable.shape} vs state {state.rho.shape}")
     return complex(np.trace(observable @ state.rho))
-
-
-def apply_evolution_power_series(rho0: FockDensityMatrix,
-                                 factors: EvolutionFactors) -> FockDensityMatrix:
-    """Single-mode alternative route: expand the partner-mode couplings of the
-    fully normal-ordered evolution as a quadruple power series.
-
-    Independent of the Kronecker-lift route; used as a cross-check.  The sum
-    is truncated at total order 4 * dim, a purely numerical choice.
-    """
-    if rho0.n_modes != 1:
-        raise DimensionMismatch("power-series route is single-mode only")
-    dim = rho0.dim_per_mode
-    max_order = 4 * dim
-    a, ad, _ = fock_operators(dim)
-    d_full = np.block([[factors.D_under, factors.D_breve],
-                       [factors.D_breve.conj(), factors.D_under.conj()]])
-    e_d = expm(d_full)
-    d_pr = e_d[0, 0] - 1.0
-    d_breve_pr = e_d[0, 1]
-    if (1.0 + d_pr).real <= 0 and abs((1.0 + d_pr).imag) < 1e-14:
-        raise LogBranchFailure("normally ordered number factor undefined")
-    r_p, rb_p = factors.R_prime[0, 0], factors.R_breve[0, 0]
-    l_p, lb_p = factors.L_prime[0, 0], factors.L_breve[0, 0]
-    r_u, l_u = factors.r_under[0], factors.l_under[0]
-
-    e_cre = expm(r_u * ad + r_p * (ad @ ad))
-    e_num = expm(np.log(1.0 + d_pr) * (ad @ a))
-    e_ann = expm(l_p * (a @ a) + l_u * a)
-    left_core = e_cre @ e_num
-    right_core = e_num.conj() @ e_cre.conj().T
-
-    ad_pow = [np.eye(dim, dtype=complex)]
-    a_pow = [np.eye(dim, dtype=complex)]
-    for _ in range(max_order + 1):
-        ad_pow.append(ad_pow[-1] @ ad)
-        a_pow.append(a_pow[-1] @ a)
-
-    from math import factorial
-
-    mid = e_ann @ rho0.rho @ e_ann.conj().T
-    rho = np.zeros_like(mid)
-    for j in range(max_order + 1):
-        for k in range(max_order + 1 - j):
-            for m in range(max_order + 1 - j - k):
-                for n in range(max_order + 1 - j - k - m):
-                    if n + k >= dim or j + m >= dim or j + k >= dim or n + m >= dim:
-                        continue
-                    coeff = ((2 * lb_p) ** j * d_breve_pr.conjugate() ** k
-                             * d_breve_pr ** m * (2 * rb_p) ** n
-                             / (factorial(j) * factorial(k)
-                                * factorial(m) * factorial(n)))
-                    if abs(coeff) < 1e-24:
-                        continue
-                    term = (ad_pow[n + k] @ left_core @ a_pow[j + m] @ mid
-                            @ ad_pow[j + k] @ right_core @ a_pow[n + m])
-                    rho += coeff * term
-    rho = rho * np.exp(factors.log_scalar)
-    return FockDensityMatrix(n_modes=1, dim_per_mode=dim, rho=rho,
-                             is_normalized=False)
 
 
 def state_to_json(state: FockDensityMatrix) -> dict:

@@ -15,6 +15,7 @@ The ``2L`` real measurement currents satisfy
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,9 +103,6 @@ class SystemSpec:
         """Boolean mask over the 2L current components; True where M couples."""
         return np.abs(self.M).sum(axis=0) > 0
 
-    def validate(self) -> "SystemSpec":
-        return validate_spec(self)
-
 
 @dataclass(frozen=True)
 class FockFormSpec:
@@ -169,19 +167,6 @@ def from_fock_form(ff: FockFormSpec) -> SystemSpec:
     spec = SystemSpec(n_modes=n, n_channels=ff.n_channels, G=G, C=Z @ X.conj().T,
                       M=ff.M, tol=ff.tol)
     return validate_spec(spec)
-
-
-def to_fock_form(spec: SystemSpec) -> FockFormSpec:
-    """Inverse of :func:`from_fock_form` (X is unitary)."""
-    X = mode_rotation(spec.n_modes)
-    return FockFormSpec(
-        n_modes=spec.n_modes,
-        n_channels=spec.n_channels,
-        F=X.conj().T @ spec.G @ X,
-        Z=spec.C @ X,
-        M=spec.M,
-        tol=spec.tol,
-    )
 
 
 def builtin_homodyne_thermal(gamma: float, K: float, eta: float,
@@ -264,7 +249,12 @@ def spec_from_config(cfg: dict) -> SystemSpec:
             fn = _BUILTINS[b["name"]]
         except KeyError as exc:
             raise ConfigError(f"unknown builtin {b.get('name')!r}") from exc
-        return fn(**b.get("params", {}))
+        params = b.get("params", {})
+        try:
+            inspect.signature(fn).bind(**params)
+        except TypeError as exc:
+            raise ConfigError(f"builtin {b['name']!r}: {exc}") from None
+        return fn(**params)
     try:
         n = int(cfg["n_modes"])
         ell = int(cfg["n_channels"])

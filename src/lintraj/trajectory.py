@@ -64,14 +64,6 @@ class TrajectoryIntegrals:
             raise ValueError("integrals violate conjugate pairing")
 
 
-def suggested_time_step(rep: RepMatrix, budget: float = 1e-3) -> float:
-    """Step size keeping ||generator image|| * dt at the given budget."""
-    norm = float(np.linalg.norm(rep.matrix, 2))
-    if norm == 0.0:
-        return budget
-    return budget / norm
-
-
 def sample_ostensible_record(spec: SystemSpec, dt: float, t_final: float,
                              seed: int | None = 0,
                              rng: np.random.Generator | None = None) -> MeasurementRecord:
@@ -273,8 +265,11 @@ def record_to_csv(record: MeasurementRecord, path: str, header_comment: str = ""
                    delimiter=",", newline="\r\n")
 
 
-def record_from_csv(path: str, dt: float | None = None) -> MeasurementRecord:
-    """Read a :func:`record_to_csv` file; ConfigError on a malformed one."""
+def record_from_csv(path: str) -> MeasurementRecord:
+    """Read a :func:`record_to_csv` file.  dt is the spacing of its ``t``
+    column.  ConfigError on a malformed file: no leading ``t`` column, ragged
+    or non-numeric rows, a non-finite cell, fewer than two rows, or a ``t``
+    column that is not increasing and uniformly spaced."""
     with open(path) as fh:
         header = next((line for line in fh if not line.startswith("#")), "")
         if header.strip().split(",")[0] != "t":
@@ -285,11 +280,17 @@ def record_from_csv(path: str, dt: float | None = None) -> MeasurementRecord:
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ConfigError(f"malformed record CSV {path}: {exc}") from None
-    if len(data) == 0:
-        raise ConfigError(f"record CSV {path} has no data rows")
+    if len(data) < 2:
+        raise ConfigError(f"record CSV {path} needs at least two data rows "
+                          f"to fix dt, has {len(data)}")
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(f"record CSV {path} has non-finite entries")
     times, y = data[:, 0], data[:, 1:]
-    if dt is None:
-        dt = float(times[1] - times[0]) if len(times) > 1 else float(times[0])
+    dt = float(times[1] - times[0])
+    # times written by record_to_csv differ from j * dt by rounding only
+    if not (dt > 0 and np.all(np.abs(np.diff(times) - dt) <= 1e-6 * dt)):
+        raise ConfigError(f"record CSV {path}: the t column is not increasing "
+                          "and uniformly spaced")
     return MeasurementRecord(dt=dt, steps=len(data), y=y)
 
 

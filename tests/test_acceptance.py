@@ -20,14 +20,12 @@ from lintraj.lie_rep import (
     disentangle_quadratic,
     povm_blocks,
     propagator_blocks,
-    reconstruct_from_factors,
     rep_of_generator,
     rep_of_qform,
 )
 from lintraj.oracle_sme import integrate_linear_sme, integrate_me
 from lintraj.parameterization import (
     QuadraticForm,
-    commutator,
     compute_generator,
     compute_noise_couplings,
 )
@@ -53,7 +51,13 @@ from lintraj.trajectory import (
     stochastic_d,
 )
 
-from conftest import homodyne_golden_blocks, random_generator
+from conftest import (
+    assemble,
+    commutator,
+    homodyne_golden_blocks,
+    random_generator,
+    reconstruct_from_factors,
+)
 
 
 def _report(line):
@@ -109,7 +113,7 @@ def test_criterion_02_disentangle_reconstruct():
             continue  # principal branch undefined: rejected loudly by design
         done += 1
         worst = max(worst, float(np.abs(reconstruct_from_factors(dis)
-                                        - blocks.assemble()).max()))
+                                        - assemble(blocks)).max()))
     elapsed = time.time() - t0
     assert worst < 1e-9
     assert elapsed < 30.0

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
-from conftest import euler_backward, inverse_backward_sweep, random_spec
+from conftest import (
+    backward_covariance,
+    euler_backward,
+    inverse_backward_sweep,
+    random_spec,
+)
 from scipy.linalg import expm
 
 from lintraj.adjoint_kalman import (
     _riccati_flow_matrix,
-    backward_covariance,
     backward_sweep,
     crosscheck_against_povm,
     forward_filter,

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -62,10 +63,10 @@ def test_simulate_writes_outputs_and_is_deterministic(homodyne_config, tmp_path)
     assert main(args + ["--out", out2]) == 0
     for name in ("records.csv", "integrals.json", "moments.csv",
                  "manifest.json", os.path.join("states", "traj_0000.json")):
-        a = open(os.path.join(out1, name), "rb").read()
-        b = open(os.path.join(out2, name), "rb").read()
+        a = Path(out1, name).read_bytes()
+        b = Path(out2, name).read_bytes()
         assert a == b, name
-    moments = open(os.path.join(out1, "moments.csv")).read().splitlines()
+    moments = Path(out1, "moments.csv").read_text().splitlines()
     assert moments[0].startswith("# manifest")
     assert len(moments) == 4   # header comment + column row + 2 trajectories
 
@@ -78,7 +79,7 @@ def test_simulate_compare_oracle_flag(homodyne_config, tmp_path, capsys):
                  "--compare-oracle", "--out", out]) == 0
     printed = capsys.readouterr().out
     assert "oracle trace distance" in printed
-    header = open(os.path.join(out, "moments.csv")).read().splitlines()[1]
+    header = Path(out, "moments.csv").read_text().splitlines()[1]
     assert "oracle_tdist" in header
 
 
@@ -89,7 +90,7 @@ def test_povm_command_closed_form_residual(homodyne_config, tmp_path, capsys):
                  "--out", out]) == 0
     printed = capsys.readouterr().out
     assert "closed-form residual" in printed
-    payload = json.loads(open(out).read())
+    payload = json.loads(Path(out).read_text())
     assert payload["closed_form_residual"] < 1e-10
     assert "posterior" in payload
 
@@ -99,7 +100,7 @@ def test_povm_command_retrodict_with_prior(homodyne_config, tmp_path):
     assert main(["povm", "--config", homodyne_config, "--seed", "5",
                  "--dt", "1e-3", "--t-final", "0.6",
                  "--retrodict", "0.9-0.2j:1e-9", "--out", out]) == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(Path(out).read_text())
     # concentrated prior dominates the data
     assert abs(payload["posterior"]["mean_re"][0] - 0.9) < 1e-3
     assert abs(payload["posterior"]["mean_im"][0] + 0.2) < 1e-3
@@ -114,8 +115,8 @@ def test_thread_fanout_is_deterministic(homodyne_config, tmp_path, monkeypatch):
     assert main(args + ["--out", out1]) == 0
     monkeypatch.setenv("LINTRAJ_THREADS", "3")
     assert main(args + ["--out", out2]) == 0
-    a = open(os.path.join(out1, "moments.csv")).read()
-    b = open(os.path.join(out2, "moments.csv")).read()
+    a = Path(out1, "moments.csv").read_text()
+    b = Path(out2, "moments.csv").read_text()
     assert a == b
 
 
@@ -123,7 +124,7 @@ def test_povm_command_optomech_sigmas(optomech_config, tmp_path, capsys):
     out = str(tmp_path / "povm.json")
     assert main(["povm", "--config", optomech_config, "--seed", "5",
                  "--dt", "1e-2", "--t-final", "30", "--out", out]) == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(Path(out).read_text())
     assert payload["sigma_p2"] < payload["sigma_x2"]
 
 
@@ -136,7 +137,7 @@ def test_povm_command_flat_effect(homodyne_config, tmp_path, capsys):
     out = str(tmp_path / "povm.json")
     assert main(["povm", "--config", str(path), "--dt", "1e-3",
                  "--t-final", "0.4", "--out", out]) == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(Path(out).read_text())
     assert payload["flat"] is True
 
 
@@ -144,9 +145,9 @@ def test_adjoint_command_crosscheck(homodyne_config, tmp_path, capsys):
     out = str(tmp_path / "adj")
     assert main(["adjoint", "--config", homodyne_config, "--seed", "2",
                  "--dt", "1e-3", "--t-final", "0.8", "--out", out]) == 0
-    payload = json.loads(open(os.path.join(out, "crosscheck.json")).read())
+    payload = json.loads(Path(out, "crosscheck.json").read_text())
     assert payload["report"]["mean_residual"] < 1e-8
-    lines = open(os.path.join(out, "moments.csv")).read().splitlines()
+    lines = Path(out, "moments.csv").read_text().splitlines()
     assert "inf" in lines[2]    # unmonitored quadrature reported infinite
 
 
@@ -155,7 +156,7 @@ def test_me_command(homodyne_config, tmp_path):
     assert main(["me", "--config", homodyne_config, "--dt", "1e-3",
                  "--t-final", "0.5", "--fock-dim", "14",
                  "--initial", "coherent:0.5", "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[1].split(",")[0] == "t"
     assert len(lines) > 100
 
@@ -165,7 +166,7 @@ def test_compare_command(homodyne_config, tmp_path, capsys):
     assert main(["compare", "--config", homodyne_config, "--seed", "4",
                  "--dt", "1e-3", "--t-final", "0.3", "--fock-dim", "18",
                  "--initial", "coherent:0.4", "--out", out]) == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(Path(out).read_text())
     assert payload["trace_distance"] < 1e-3
     assert payload["relative_trace_error"] < 5e-2
 
@@ -181,7 +182,7 @@ def test_initial_state_from_file(homodyne_config, tmp_path):
     assert main(["compare", "--config", homodyne_config, "--seed", "9",
                  "--dt", "1e-3", "--t-final", "0.2", "--fock-dim", "12",
                  "--initial", f"file:{state_file}", "--out", out]) == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(Path(out).read_text())
     assert payload["trace_distance"] < 1e-2
 
 
@@ -195,7 +196,7 @@ def test_record_roundtrip_through_povm(homodyne_config, tmp_path):
     assert main(["povm", "--config", homodyne_config,
                  "--record", os.path.join(run, "records.csv"),
                  "--out", out]) == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(Path(out).read_text())
     assert payload["closed_form_residual"] < 1e-10
 
 
@@ -240,8 +241,7 @@ def test_simulate_matches_dense_per_record_route(homodyne_config, tmp_path):
             h=complex(entry["h_re"], entry["h_im"]))
         factors = EvolutionFactors.from_blocks(blocks, ints)
         want, _ = normalize_and_trace(FockDensityMatrix(
-            n_modes=1, dim_per_mode=dim, rho=dense_evolution(rho0, factors),
-            is_normalized=False))
+            n_modes=1, dim_per_mode=dim, rho=dense_evolution(rho0, factors)))
         state = json.loads((out / "states" / f"traj_{i:04d}.json").read_text())
         got = (np.array(state["rho_re"])
                + 1j * np.array(state["rho_im"])).reshape(dim, dim)
@@ -257,6 +257,57 @@ def test_simulate_rejects_initial_file_of_wrong_size(homodyne_config, tmp_path,
                  "--t-final", "0.1", "--initial", f"file:{state}",
                  "--out", str(tmp_path / "run")]) == 2
     assert _error_of(capsys) == "DimensionMismatch"
+
+
+BAD_INITIAL = {
+    "coherent:abc": "ConfigError",
+    "fock:x": "ConfigError",
+    "fock:25": "DimensionMismatch",             # at --fock-dim 20
+    "coherent:0.1,0.2": "DimensionMismatch",    # two amplitudes, one mode
+    "fock:1,1": "DimensionMismatch",
+    "file:missing.json": "ConfigError",
+}
+
+
+@pytest.mark.parametrize("initial", sorted(BAD_INITIAL))
+def test_simulate_rejects_bad_initial_state(homodyne_config, tmp_path, capsys,
+                                            initial):
+    assert main(["simulate", "--config", homodyne_config, "--fock-dim", "20",
+                 "--t-final", "0.01", "--initial",
+                 initial.replace("missing.json", str(tmp_path / "missing.json")),
+                 "--out", str(tmp_path / "run")]) == 2
+    out = capsys.readouterr().out.strip().splitlines()
+    assert len(out) == 1
+    assert json.loads(out[0])["error"] == BAD_INITIAL[initial]
+    assert not (tmp_path / "run").exists()
+
+
+BAD_CONFIGS = {
+    "invalid JSON": '{"builtin": ',
+    "not an object": "[1, 2]",
+    "missing param": json.dumps({"builtin": {
+        "name": "homodyne_thermal", "params": {"gamma": 1.0, "K": 0.2}}}),
+    "unknown param": json.dumps({"builtin": {
+        "name": "homodyne_thermal",
+        "params": {"gamma": 1.0, "K": 0.2, "eta": 0.8, "zeta": 1.0}}}),
+    "missing file": None,
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "povm"])
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_is_a_config_error(tmp_path, capsys, command, case):
+    path = tmp_path / "cfg.json"
+    if BAD_CONFIGS[case] is not None:
+        path.write_text(BAD_CONFIGS[case])
+    argv = [command, "--config", str(path)]
+    if command == "povm":
+        argv += ["--t-final", "0.01", "--out", str(tmp_path / "povm.json")]
+    assert main(argv) == 2
+    out = capsys.readouterr().out.strip().splitlines()
+    assert len(out) == 1
+    assert json.loads(out[0])["error"] == "ConfigError"
+    assert not (tmp_path / "povm.json").exists()
 
 
 def test_simulate_rejects_zero_dt(homodyne_config, tmp_path, capsys):
@@ -282,7 +333,7 @@ def test_povm_retrodict_prior_per_mode(tmp_path, capsys, rng):
     argv = ["povm", "--config", str(path), "--seed", "3", "--dt", "1e-3",
             "--t-final", "0.2", "--out", out, "--retrodict"]
     assert main(argv + ["0.3+0.1j,-0.2j:1e-9"]) == 0
-    post = json.loads(open(out).read())["posterior"]
+    post = json.loads(Path(out).read_text())["posterior"]
     # a concentrated prior dominates the data, mode by mode
     assert abs(post["mean_re"][0] - 0.3) < 1e-3
     assert abs(post["mean_im"][0] - 0.1) < 1e-3
@@ -314,6 +365,10 @@ MALFORMED_RECORDS = {
     "ragged": "t,y_1,y_2,y_3,y_4\n0,0,0,0,0\n0.001,0,0,0\n",
     "non-numeric": "t,y_1,y_2,y_3,y_4\n0,0,0,0,0\n0.001,0,abc,0,0\n",
     "no rows": "# comment\nt,y_1,y_2,y_3,y_4\n",
+    "one row": "t,y_1,y_2,y_3,y_4\n0,1,0,0,0\n",
+    "non-finite": "t,y_1,y_2,y_3,y_4\n0,0,0,0,0\n0.001,nan,0,0,0\n",
+    "non-uniform t": ("t,y_1,y_2,y_3,y_4\n0,0,0,0,0\n0.001,0,0,0,0\n"
+                      "0.005,0,0,0,0\n"),
 }
 
 

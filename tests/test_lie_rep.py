@@ -5,29 +5,36 @@ from scipy.linalg import expm
 from lintraj.errors import LogBranchFailure, SingularBlock
 from lintraj.lie_rep import (
     PropagatorBlocks,
+    RepMatrix,
     disentangle_quadratic,
     flip,
-    inner_eigenvalues,
     normal_order_linear,
     povm_blocks,
     propagator_blocks,
-    propagator_grid,
-    reconstruct_from_factors,
-    reorder_linear_increment,
     reordering_scalar,
-    rep_linear_factor,
     rep_of_generator,
     rep_of_qform,
 )
 from lintraj.parameterization import (
     QuadraticForm,
     QuadraticGenerator,
-    commutator,
     compute_generator,
 )
 from lintraj.system import builtin_homodyne_thermal, builtin_optomech_squeezing
+from lintraj.trajectory import BlockTable
 
-from conftest import homodyne_golden_blocks, random_generator
+from conftest import (
+    assemble,
+    block_table_residual,
+    commutator,
+    d_prime,
+    generator_blocks,
+    homodyne_golden_blocks,
+    random_generator,
+    reconstruct_from_factors,
+    reorder_linear_increment,
+    rep_linear_factor,
+)
 
 
 def test_rep_of_zero_generator_is_zero():
@@ -48,7 +55,7 @@ def test_rep_single_creation_squared_has_two_entries():
 
 def test_rep_inner_block_layout_homodyne():
     gen = compute_generator(builtin_homodyne_thermal(1.1, 0.8, 0.5))
-    b = gen.blocks
+    b = generator_blocks(gen)
     T = rep_of_generator(gen).matrix
     row1 = [b["D"][0, 0], b["D_breve"][0, 0], 2 * b["R_breve"][0, 0], 2 * b["R"][0, 0]]
     row3 = [-2 * b["L_breve"][0, 0], -2 * np.conj(b["L"][0, 0]),
@@ -127,32 +134,26 @@ def test_semigroup_property(rng):
         gen = random_generator(n, rng, 0.5)
         rep = rep_of_generator(gen)
         t1, t2 = 0.37, 0.81
-        a = propagator_blocks(rep, t1).assemble()
-        b = propagator_blocks(rep, t2).assemble()
-        c = propagator_blocks(rep, t1 + t2).assemble()
+        a = assemble(propagator_blocks(rep, t1))
+        b = assemble(propagator_blocks(rep, t2))
+        c = assemble(propagator_blocks(rep, t1 + t2))
         assert np.abs(a @ b - c).max() < 1e-9
 
 
 def test_propagator_grid_matches_direct(rng):
     gen = random_generator(2, rng, 0.4)
     rep = rep_of_generator(gen)
-    grid = propagator_grid(rep, 0.05, 12)
-    direct = expm(rep.matrix * 0.05 * 7)
-    assert np.abs(grid[6] - direct).max() < 1e-10
+    assert block_table_residual(BlockTable(rep, 0.05, 12), rep) < 1e-10
 
 
 def test_propagator_grid_defective_fallback():
     # a non-diagonalizable image exercises the repeated-multiplication path
-    from lintraj.lie_rep import RepMatrix
-
     T = np.zeros((6, 6), dtype=complex)
     T[1, 2] = 1.0       # Jordan-type coupling at a degenerate eigenvalue
     T[3, 4] = 1.0
     T[1, 1] = T[2, 2] = T[3, 3] = T[4, 4] = -0.3
     rep = RepMatrix(n_modes=1, matrix=T)
-    grid = propagator_grid(rep, 0.1, 9)
-    direct = expm(T * 0.1 * 9)
-    assert np.abs(grid[8] - direct).max() < 1e-11
+    assert block_table_residual(BlockTable(rep, 0.1, 9), rep) < 1e-11
 
 
 def test_disentangle_t0_is_trivial():
@@ -175,19 +176,8 @@ def test_disentangle_homodyne_zero_temperature_closed_forms():
     assert abs(dis.L_prime[0, 0] + eta * decay / 2) < 1e-12
     assert abs(dis.L_prime[0, 1] - (1 - eta) * decay / 2) < 1e-12
     # the normally ordered number parameter is the exponential minus identity
-    assert np.abs(dis.D_prime - (expm(dis.D_under) - np.eye(2))).max() < 1e-14
-    assert abs(dis.D_prime[0, 0] - (np.exp(-gamma * t / 2) - 1)) < 1e-12
-
-
-def test_blocks_debug_dump_roundtrips():
-    from lintraj.lie_rep import blocks_to_json
-
-    gen = compute_generator(builtin_homodyne_thermal(1.0, 0.4, 0.7))
-    bl = propagator_blocks(rep_of_generator(gen), 0.6)
-    dump = blocks_to_json(bl)
-    assert dump["t"] == 0.6
-    back = np.array(dump["N11"]["re"]) + 1j * np.array(dump["N11"]["im"])
-    assert np.abs(back - bl.N11).max() == 0.0
+    assert np.abs(d_prime(dis) - (expm(dis.D_under) - np.eye(2))).max() < 1e-14
+    assert abs(d_prime(dis)[0, 0] - (np.exp(-gamma * t / 2) - 1)) < 1e-12
 
 
 def test_disentangle_reconstruct_random(rng):
@@ -204,7 +194,7 @@ def test_disentangle_reconstruct_random(rng):
         except LogBranchFailure:
             continue
         done += 1
-        assert np.abs(reconstruct_from_factors(dis) - bl.assemble()).max() < 1e-9
+        assert np.abs(reconstruct_from_factors(dis) - assemble(bl)).max() < 1e-9
 
 
 def test_singular_block_raises():
@@ -255,8 +245,8 @@ def test_reorder_representation_identity(rng):
         dl = rng.normal(size=m) + 1j * rng.normal(size=m)
         dr = rng.normal(size=m) + 1j * rng.normal(size=m)
         dl_p, dr_p = reorder_linear_increment(bl, dl, dr)
-        lhs = rep_linear_factor(n, dl, dr) @ bl.assemble()
-        rhs = bl.assemble() @ rep_linear_factor(n, dl_p, dr_p)
+        lhs = rep_linear_factor(n, dl, dr) @ assemble(bl)
+        rhs = assemble(bl) @ rep_linear_factor(n, dl_p, dr_p)
         assert np.abs(lhs - rhs).max() < 1e-10
 
 
@@ -308,9 +298,9 @@ def test_normal_order_representation_identity(rng):
         dim = 4 * n + 2
         scal = np.eye(dim, dtype=complex)
         scal[dim - 1, 0] = 2 * sigma
-        lhs = rep_linear_factor(n, None, ru) @ bl.assemble() \
+        lhs = rep_linear_factor(n, None, ru) @ assemble(bl) \
             @ rep_linear_factor(n, lu, None)
-        rhs = scal @ bl.assemble() @ rep_linear_factor(n, None, rp) \
+        rhs = scal @ assemble(bl) @ rep_linear_factor(n, None, rp) \
             @ rep_linear_factor(n, lp, None)
         assert np.abs(lhs - rhs).max() < 1e-9
 
@@ -349,7 +339,7 @@ def test_povm_blocks_optomech_rates():
 
 def test_inner_eigenvalue_closed_form(rng):
     gen = random_generator(1, rng, real=True)
-    ev = np.sort_complex(inner_eigenvalues(rep_of_generator(gen)))
+    ev = np.sort_complex(np.linalg.eigvals(rep_of_generator(gen).matrix[1:5, 1:5]))
     D, Db = gen.D[0, 0], gen.D[0, 1]
     L, Lb = gen.L[0, 0], gen.L[0, 1]
     R, Rb = gen.R[0, 0], gen.R[0, 1]

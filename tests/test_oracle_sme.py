@@ -1,11 +1,6 @@
 import numpy as np
 
-from lintraj.oracle_sme import (
-    IntegratorConfig,
-    integrate_linear_sme,
-    integrate_me,
-    integrate_nonlinear_sme,
-)
+from lintraj.oracle_sme import integrate_linear_sme, integrate_me
 from lintraj.state_engine import (
     coherent_state,
     expectation,
@@ -17,6 +12,8 @@ from lintraj.state_engine import (
 )
 from lintraj.system import SystemSpec, builtin_homodyne_thermal, validate_spec
 from lintraj.trajectory import MeasurementRecord, sample_ostensible_record
+
+from conftest import IntegratorConfig, integrate_nonlinear_sme
 
 
 def test_me_coherent_decay():
@@ -79,7 +76,7 @@ def test_nonlinear_sme_unmonitored_is_deterministic_me():
     spec = builtin_homodyne_thermal(1.0, 0.3, 0.0)
     D = 18
     rho0 = coherent_state(1, D, 0.5)
-    cfg = IntegratorConfig(dt=1e-3, t_final=0.4, fock_dim=D, seed=1)
+    cfg = IntegratorConfig(dt=1e-3, t_final=0.4, seed=1)
     final, rec = integrate_nonlinear_sme(spec, rho0, cfg)
     assert np.abs(rec.y).max() == 0.0
     me = integrate_me(spec, rho0, 0.4, dt=1e-3)
@@ -92,7 +89,7 @@ def test_nonlinear_sme_pure_unravelling_keeps_purity():
     spec = builtin_homodyne_thermal(1.0, 0.0, 1.0)
     D = 24
     rho0 = fock_state(1, D, 1)
-    cfg = IntegratorConfig(dt=1e-4, t_final=0.3, fock_dim=D, seed=7)
+    cfg = IntegratorConfig(dt=1e-4, t_final=0.3, seed=7)
     final, _ = integrate_nonlinear_sme(spec, rho0, cfg)
     assert abs(final.purity() - 1.0) < 5e-3
 
@@ -101,7 +98,7 @@ def test_linear_nonlinear_consistency_on_shared_record():
     spec = builtin_homodyne_thermal(1.0, 0.3, 0.7)
     D = 22
     rho0 = coherent_state(1, D, 0.6)
-    cfg = IntegratorConfig(dt=1e-4, t_final=0.3, fock_dim=D, seed=9)
+    cfg = IntegratorConfig(dt=1e-4, t_final=0.3, seed=9)
     final, rec = integrate_nonlinear_sme(spec, rho0, cfg)
     lin = integrate_linear_sme(spec, rho0, rec)
     lin_n, _ = normalize_and_trace(lin)

@@ -3,10 +3,8 @@ import pytest
 
 from lintraj.parameterization import (
     QuadraticForm,
-    commutator,
     compute_generator,
     compute_noise_couplings,
-    generator_rdl_composites,
     half_swap,
     quadrature_expansion,
 )
@@ -17,7 +15,12 @@ from lintraj.system import (
     validate_spec,
 )
 
-from conftest import random_spec
+from conftest import (
+    commutator,
+    generator_blocks,
+    generator_rdl_composites,
+    random_spec,
+)
 
 
 def homodyne_reference_blocks(gamma, K, eta):
@@ -37,7 +40,7 @@ def homodyne_reference_blocks(gamma, K, eta):
 def test_homodyne_generator_blocks(gamma, K, eta):
     gen = compute_generator(builtin_homodyne_thermal(gamma, K, eta))
     ref = homodyne_reference_blocks(gamma, K, eta)
-    blocks = gen.blocks
+    blocks = generator_blocks(gen)
     for name, want in ref.items():
         assert abs(blocks[name][0, 0] - want) < 1e-12, name
 
@@ -51,7 +54,7 @@ def test_homodyne_generator_closed_forms_random_sweep(rng):
         gen = compute_generator(builtin_homodyne_thermal(gamma, K, eta),
                                 check=False)
         ref = homodyne_reference_blocks(gamma, K, eta)
-        blocks = gen.blocks
+        blocks = generator_blocks(gen)
         for name, want in ref.items():
             assert abs(blocks[name][0, 0] - want) < 1e-12
 
@@ -61,7 +64,7 @@ def test_optomech_generator_blocks():
     gen = compute_generator(builtin_optomech_squeezing(mu, eta, gamma, K_th, chi))
     mu_eff = mu * eta
     K = K_th + mu * (1 - eta) / gamma
-    b = gen.blocks
+    b = generator_blocks(gen)
     assert abs(b["L"][0, 0] - chi / 4) < 1e-12
     assert abs(b["L_breve"][0, 0] - gamma * (K + 1) / 2) < 1e-12
     assert abs(b["R"][0, 0] + chi / 4) < 1e-12

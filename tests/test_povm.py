@@ -7,7 +7,6 @@ from lintraj.lie_rep import povm_blocks, propagator_blocks, rep_of_generator
 from lintraj.parameterization import compute_generator, compute_noise_couplings
 from lintraj.povm import (
     _phi_matrix,
-    effect_fock_operator,
     effect_from_blocks,
     homodyne_closed_form,
     optomech_closed_form,
@@ -22,6 +21,8 @@ from lintraj.trajectory import (
     sample_ostensible_record,
     stochastic_d,
 )
+
+from conftest import effect_fock_operator
 
 
 def homodyne_effect(gamma, K, eta, t, dt=1e-3, seed=0):
@@ -75,19 +76,6 @@ def test_homodyne_closed_form_spot_values():
     # no detection: flat parameters
     lpp0, lb0, _ = homodyne_closed_form(1.3, 0.8, 0.0, 0.9)
     assert lpp0 == 0.0 and lb0 == 0.0
-
-
-def test_suggested_time_step_scales_with_generator():
-    from lintraj.lie_rep import rep_of_generator
-    from lintraj.parameterization import compute_generator
-    from lintraj.trajectory import suggested_time_step
-
-    small = rep_of_generator(compute_generator(builtin_homodyne_thermal(0.5, 0.0, 0.5)))
-    large = rep_of_generator(compute_generator(builtin_homodyne_thermal(5.0, 0.0, 0.5)))
-    dt_small = suggested_time_step(small)
-    dt_large = suggested_time_step(large)
-    assert dt_large < dt_small
-    assert np.linalg.norm(large.matrix, 2) * dt_large == pytest.approx(1e-3)
 
 
 def test_effect_mean_is_density_maximum():

@@ -13,7 +13,6 @@ from lintraj.state_engine import (
     EnsemblePropagator,
     EvolutionFactors,
     apply_evolution,
-    apply_evolution_power_series,
     coherent_state,
     evolution_superoperators,
     expectation,
@@ -31,7 +30,12 @@ from lintraj.trajectory import (
     sample_ostensible_record,
 )
 
-from conftest import dense_evolution, random_single_mode_factors, random_spec
+from conftest import (
+    apply_evolution_power_series,
+    dense_evolution,
+    random_single_mode_factors,
+    random_spec,
+)
 
 
 def test_fock_operators_small_dims():
@@ -62,6 +66,18 @@ def test_vacuum_and_fock_states():
     assert abs(expectation(v, nop)) == 0.0
     f2 = fock_state(1, 6, 2)
     assert abs(expectation(f2, nop) - 2.0) < 1e-14
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fock_state(1, 6, 6),                # level outside the truncation
+    lambda: fock_state(1, 6, -1),
+    lambda: fock_state(2, 6, [1]),              # one level for two modes
+    lambda: coherent_state(1, 6, [0.1, 0.2]),   # two amplitudes for one mode
+    lambda: coherent_state(2, 6, 0.1),
+])
+def test_initial_states_check_modes_and_levels(make):
+    with pytest.raises(DimensionMismatch):
+        make()
 
 
 def _homodyne_factors(gamma, K, eta, dt, t_final, seed):
@@ -144,8 +160,7 @@ def test_normalize_and_trace_contract():
     doubled = rho0.rho * 2.0
     from lintraj.state_engine import FockDensityMatrix
 
-    state = FockDensityMatrix(n_modes=1, dim_per_mode=8, rho=doubled,
-                              is_normalized=False)
+    state = FockDensityMatrix(n_modes=1, dim_per_mode=8, rho=doubled)
     normalized, trace = normalize_and_trace(state)
     assert abs(trace - 2.0) < 1e-12
     assert np.abs(normalized.rho - rho0.rho).max() < 1e-12
@@ -330,7 +345,7 @@ def test_two_mode_linear_factors_match_full_lifts(rng):
         want = v0.astype(complex)
         for s in evolution_superoperators(factors, dim):
             want = expm_multiply(s.tocsc(), want)
-        want = want * np.exp(factors.log_scalar)
+        want = want * np.exp(factors.delta_prime + factors.sigma)
         engine = EnsemblePropagator(factors, dim)
         got = engine.propagate_vec(v0, factors.l_under, factors.r_under,
                                    factors.sigma)

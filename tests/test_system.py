@@ -20,11 +20,10 @@ from lintraj.system import (
     spec_from_config,
     spec_to_config,
     symplectic_form,
-    to_fock_form,
     validate_spec,
 )
 
-from conftest import random_spec
+from conftest import random_spec, to_fock_form
 
 
 def test_simple_single_channel_spec_is_valid():
