@@ -280,10 +280,33 @@ def _effect_from_args(args, spec, cfg):
     return record, blocks, ints, effect
 
 
+def _retrodict_prior(arg: str, n_modes: int) -> dict:
+    """retrodict_posterior's prior keywords for a --retrodict argument:
+    none for "flat", else prior_mean and prior_cov from 'mean[,..]:variance'."""
+    if arg == "flat":
+        return {}
+    mean_str, _, var_str = arg.partition(":")
+    try:
+        prior_mean = np.array([complex(z) for z in mean_str.split(",")])
+        prior_var = float(var_str or 1.0)
+    except ValueError as exc:
+        raise ConfigError(f"bad --retrodict prior {arg!r}: {exc}") from None
+    if not (np.isfinite(prior_var) and prior_var > 0):
+        raise ConfigError(f"--retrodict prior variance must be a positive "
+                          f"number, got {var_str!r}")
+    if prior_mean.size != n_modes:
+        raise DimensionMismatch(f"--retrodict gives {prior_mean.size} prior "
+                                f"mean(s) for {n_modes} mode(s)")
+    return {"prior_mean": prior_mean,
+            "prior_cov": prior_var * np.eye(2 * n_modes)}
+
+
 def cmd_povm(args) -> int:
     cfg = _load_config(args.config)
     spec = spec_from_config(cfg)
     manifest, stamp = _manifest(args, cfg)
+    if args.retrodict is not None:
+        prior = _retrodict_prior(args.retrodict, spec.n_modes)
     record, blocks, ints, effect = _effect_from_args(args, spec, cfg)
     payload = {"effect": effect_to_json(effect), "t": blocks.t,
                "flat": effect.is_flat}
@@ -309,23 +332,7 @@ def cmd_povm(args) -> int:
     if effect.is_flat:
         print("effect is flat (no measurement information)")
     if args.retrodict is not None:
-        if args.retrodict == "flat":
-            posterior = retrodict_posterior(effect)
-        else:
-            mean_str, _, var_str = args.retrodict.partition(":")
-            try:
-                prior_mean = np.array([complex(z) for z in mean_str.split(",")])
-                prior_var = float(var_str or 1.0)
-            except ValueError as exc:
-                raise ConfigError(f"bad --retrodict prior {args.retrodict!r}: "
-                                  f"{exc}") from None
-            if prior_mean.size != spec.n_modes:
-                raise DimensionMismatch(
-                    f"--retrodict gives {prior_mean.size} prior mean(s) for "
-                    f"{spec.n_modes} mode(s)")
-            prior_cov = prior_var * np.eye(2 * spec.n_modes)
-            posterior = retrodict_posterior(effect, prior_mean=prior_mean,
-                                            prior_cov=prior_cov)
+        posterior = retrodict_posterior(effect, **prior)
         payload["posterior"] = {
             "mean_re": posterior.mean.real.tolist(),
             "mean_im": posterior.mean.imag.tolist(),

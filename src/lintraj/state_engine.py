@@ -413,7 +413,9 @@ class EnsemblePropagator:
             for s in self._quadratic:
                 v = expm_multiply(s, v)
         v = _apply_exponential(k_r, None, v, side)
-        return v * np.exp(self.delta_prime + sigma)
+        # an overflowing scalar is reported by evolve's finiteness check
+        with np.errstate(over="ignore", invalid="ignore"):
+            return v * np.exp(self.delta_prime + sigma)
 
     def evolve(self, rho0: FockDensityMatrix, l_under: np.ndarray,
                r_under: np.ndarray, sigma: complex) -> FockDensityMatrix:

@@ -16,6 +16,7 @@ The ``2L`` real measurement currents satisfy
 from __future__ import annotations
 
 import inspect
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,15 +246,27 @@ def spec_from_config(cfg: dict) -> SystemSpec:
     """
     if "builtin" in cfg:
         b = cfg["builtin"]
-        try:
-            fn = _BUILTINS[b["name"]]
-        except KeyError as exc:
-            raise ConfigError(f"unknown builtin {b.get('name')!r}") from exc
+        if not isinstance(b, dict):
+            raise ConfigError(f"builtin must be an object with 'name' and "
+                              f"'params', got {b!r}")
+        name = b.get("name")
+        fn = _BUILTINS.get(name) if isinstance(name, str) else None
+        if fn is None:
+            raise ConfigError(f"unknown builtin {name!r}")
         params = b.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError(f"builtin {name!r}: params must be an object")
         try:
             inspect.signature(fn).bind(**params)
         except TypeError as exc:
-            raise ConfigError(f"builtin {b['name']!r}: {exc}") from None
+            raise ConfigError(f"builtin {name!r}: {exc}") from None
+        for key, value in params.items():
+            # bool is an int subclass, but true/false is no parameter value;
+            # the bound rejects nan, inf and ints too large for a float
+            real = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (real and abs(value) <= sys.float_info.max):
+                raise ConfigError(f"builtin {name!r}: param {key!r} must be "
+                                  f"a finite real number, got {value!r}")
         return fn(**params)
     try:
         n = int(cfg["n_modes"])

@@ -488,6 +488,19 @@ def apply_evolution_power_series(rho0, factors):
                              rho=rho * np.exp(factors.delta_prime + factors.sigma))
 
 
+def sequential_powers(rep, dt, steps):
+    """Test oracle for ``propagator_powers``: the (steps, 4N+2, 4N+2)
+    propagators at j = 1..steps, one sequential product with the single-step
+    propagator per step."""
+    step = expm(rep.matrix * dt)
+    acc = np.eye(rep.dim, dtype=complex)
+    out = np.empty((steps, rep.dim, rep.dim), dtype=complex)
+    for k in range(steps):
+        acc = acc @ step
+        out[k] = acc
+    return out
+
+
 def block_table_residual(table, rep):
     """Largest difference between the blocks a ``BlockTable`` stores at each
     grid time j dt and ``propagator_blocks`` evaluated directly there."""

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -291,6 +293,10 @@ BAD_CONFIGS = {
         "name": "homodyne_thermal",
         "params": {"gamma": 1.0, "K": 0.2, "eta": 0.8, "zeta": 1.0}}}),
     "missing file": None,
+    "non-numeric param": json.dumps({"builtin": {
+        "name": "homodyne_thermal",
+        "params": {"gamma": "abc", "K": 0.2, "eta": 0.8}}}),
+    "builtin not an object": json.dumps({"builtin": "homodyne_thermal"}),
 }
 
 
@@ -342,6 +348,39 @@ def test_povm_retrodict_prior_per_mode(tmp_path, capsys, rng):
     capsys.readouterr()
     assert main(argv + ["0.3:1e-9"]) == 2
     assert _error_of(capsys) == "DimensionMismatch"
+
+
+@pytest.mark.parametrize("variance", ["0", "-1", "nan", "inf"])
+def test_povm_retrodict_rejects_bad_prior_variance(homodyne_config, tmp_path,
+                                                   capsys, variance):
+    out = tmp_path / "povm.json"
+    assert main(["povm", "--config", homodyne_config, "--t-final", "0.05",
+                 "--out", str(out), "--retrodict", f"0.1:{variance}"]) == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ConfigError"
+    assert not out.exists()
+
+
+def test_simulate_overflow_is_one_json_line_and_clean_stderr(tmp_path):
+    # optomech state runs past t ~ 2 overflow the scalar exp(delta' + sigma):
+    # the failure is named on stdout, with no numpy warning on stderr
+    cfg = tmp_path / "optomech.json"
+    cfg.write_text(json.dumps({"builtin": {
+        "name": "optomech_squeezing",
+        "params": {"mu": 1.0, "eta": 1.0, "gamma": 0.4, "K_th": 0.2,
+                   "chi": 0.3}}}))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1]
+                                           / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "lintraj.cli", "simulate", "--config", str(cfg),
+         "--t-final", "3", "--fock-dim", "8", "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    lines = proc.stdout.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "MatrixExpFailure"
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("n_cols", [1, 2])

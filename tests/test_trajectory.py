@@ -343,6 +343,21 @@ def test_record_csv_bytes_match_csv_writer(tmp_path, steps, comment):
     assert np.array_equal(np.signbit(back.y), np.signbit(y))
 
 
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_record_csv_bytes_match_savetxt_at_block_edges(tmp_path, offset):
+    steps = trajectory._CSV_BLOCK + offset
+    y = np.random.default_rng(offset + 2).normal(size=(steps, 4))
+    y[::7, 1:] = 0.0
+    rec = MeasurementRecord(dt=1e-4, steps=steps, y=y)
+    path = tmp_path / "rec.csv"
+    record_to_csv(rec, str(path), header_comment="seed 3")
+    fh = io.StringIO(newline="")
+    fh.write("# seed 3\nt,y_1,y_2,y_3,y_4\r\n")
+    np.savetxt(fh, np.column_stack([rec.times, y]), fmt="%.17g",
+               delimiter=",", newline="\r\n")
+    assert path.read_bytes() == fh.getvalue().encode()
+
+
 def test_block_table_keeps_grid_blocks_and_rejects_overflow(homodyne_pipeline):
     from lintraj.errors import MatrixExpFailure
     from lintraj.lie_rep import RepMatrix
