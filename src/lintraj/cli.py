@@ -3,7 +3,6 @@
 Every run writes a manifest (config, flags, package versions) and stamps its
 hash into each output file, so identical manifests reproduce byte-identical
 outputs.  Numbers are printed with 17 significant digits (round-trip safe).
-``LINTRAJ_THREADS`` caps the trajectory fan-out.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -204,14 +202,20 @@ def cmd_simulate(args) -> int:
     a_op, _, n_op = fock_operators(args.fock_dim)
 
     seeds = np.random.SeedSequence(args.seed).spawn(args.trajectories)
-
-    def one(i: int):
-        rng = np.random.default_rng(seeds[i])
+    records, integrals = [], []
+    for seed in seeds:
         record = sample_ostensible_record(spec, args.dt, args.t_final, seed=None,
-                                          rng=rng)
-        ints = accumulate_integrals(table, couplings, record)
-        normalized, trace = normalize_and_trace(engine.evolve_record(rho0, ints))
-        d = stochastic_d(ints, lpp_full)
+                                          rng=np.random.default_rng(seed))
+        records.append(record)
+        integrals.append(accumulate_integrals(table, couplings, record))
+    states = engine.evolve_records(rho0, integrals)
+
+    per_traj, rows, normalized_states = [], [], []
+    for i, (record, ints, state) in enumerate(zip(records, integrals, states)):
+        normalized, trace = normalize_and_trace(state)
+        entry = integrals_to_json(ints, stochastic_d(ints, lpp_full))
+        entry["seed"] = {"master": args.seed, "spawn": i}
+        per_traj.append(entry)
         row = {
             "traj": i,
             "weight": trace * float(np.exp(np.real(ints.h))),
@@ -227,25 +231,13 @@ def cmd_simulate(args) -> int:
             oracle = integrate_linear_sme(spec, rho0, record)
             onorm, _ = normalize_and_trace(oracle)
             row["oracle_tdist"] = trace_distance(normalized.rho, onorm.rho)
-        return record, ints, d, normalized, row
+        rows.append(row)
+        normalized_states.append(normalized)
 
-    threads = int(os.environ.get("LINTRAJ_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(args.trajectories)))
-    else:
-        results = [one(i) for i in range(args.trajectories)]
-
-    record_to_csv(results[0][0], os.path.join(args.out, "records.csv"),
+    record_to_csv(records[0], os.path.join(args.out, "records.csv"),
                   header_comment=f"manifest {stamp}")
-    per_traj = []
-    for i, r in enumerate(results):
-        entry = integrals_to_json(r[1], r[2])
-        entry["seed"] = {"master": args.seed, "spawn": i}
-        per_traj.append(entry)
     _write_json(os.path.join(args.out, "integrals.json"),
                 {"trajectories": per_traj}, stamp)
-    rows = [r[4] for r in results]
     with open(os.path.join(args.out, "moments.csv"), "w") as fh:
         fh.write(f"# manifest {stamp}\n")
         cols = list(rows[0].keys())
@@ -253,9 +245,9 @@ def cmd_simulate(args) -> int:
         for row in rows:
             fh.write(",".join(_fmt(row[c]) if isinstance(row[c], float)
                               else str(row[c]) for c in cols) + "\n")
-    for i, r in enumerate(results):
+    for i, normalized in enumerate(normalized_states):
         _write_json(os.path.join(args.out, "states", f"traj_{i:04d}.json"),
-                    state_to_json(r[3]), stamp)
+                    state_to_json(normalized), stamp)
     if args.compare_oracle:
         worst = max(row["oracle_tdist"] for row in rows)
         print(f"worst oracle trace distance: {_fmt(worst)}")

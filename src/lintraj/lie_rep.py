@@ -223,26 +223,31 @@ def normal_order_linear(blocks: PropagatorBlocks, l_prime: np.ndarray,
     """Solve exp(b^dag r_u) exp(Q t) exp(l_u b) =
     exp(-sigma) exp(Q t) exp(b^dag r') exp(l' b) for (l_u, r_u).
 
-    The reordering also spawns the scalar sigma = r'^T L' r' (see
-    :func:`reordering_scalar`), which multiplies the evolution operator when
-    the normal-ordered factor arrangement is used.
+    ``l_prime`` and ``r_prime`` are (2N,) vectors or (S, 2N) stacks with one
+    record per row, and (l_u, r_u) have their shape: the map is linear, so
+    a stack costs one checked inverse.  As rows, r_u = r' J inv J and
+    l_u = l' - (r' J) (inv Nm11), with inv = Nm1m1^{-1}.  The reordering
+    also spawns the scalar sigma = r'^T L' r' (see :func:`reordering_scalar`),
+    which multiplies the evolution operator when the normal-ordered factor
+    arrangement is used.
     """
     m = 2 * blocks.n_modes
     J = flip(m)
     inv = _checked_inverse(blocks.Nm1m1, "Nm1m1")
-    r_under = J @ (inv.T @ (J @ r_prime))
-    l_under = l_prime - (J @ r_prime) @ (inv @ blocks.Nm11)
-    return l_under, r_under
+    rJ = r_prime @ J
+    return l_prime - rJ @ (inv @ blocks.Nm11), rJ @ inv @ J
 
 
-def reordering_scalar(blocks: PropagatorBlocks, r_prime: np.ndarray) -> complex:
+def reordering_scalar(blocks: PropagatorBlocks,
+                      r_prime: np.ndarray) -> complex | np.ndarray:
     """Scalar exponent spawned by normal-ordering the linear factors:
-    sigma = r'^T L' r' with L' the annihilation-quadratic parameter."""
+    sigma = r'^T L' r' with L' the annihilation-quadratic parameter.  A
+    (2N,) ``r_prime`` gives one sigma, an (S, 2N) stack one per row."""
     m = 2 * blocks.n_modes
     J = flip(m)
     inv = _checked_inverse(blocks.Nm1m1, "Nm1m1")
     L_prime = -0.5 * J @ inv @ blocks.Nm11
-    return r_prime @ L_prime @ r_prime
+    return ((r_prime @ L_prime) * r_prime).sum(axis=-1)
 
 
 def povm_blocks(blocks: PropagatorBlocks) -> np.ndarray:

@@ -20,12 +20,14 @@ they are applied on their own, in the same form as every other factor:
 rho -> K rho K^dag with K = exp(sum_i l_i a_i) (or exp(sum_i r_i a_i^dag)),
 a Kronecker product of closed-form triangular D x D matrices
 (:func:`lowering_exp`).  For a single mode every term of a species commutes,
-so each quadratic factor exponential splits into D x D exponentials, a
-terminating sandwich series and, for the number factor, one small block per
-m + n sector (:func:`single_mode_exponentials`); no D^2 x D^2 matrix is ever
-exponentiated.  Two or more modes apply the sparse quadratic lifts with
-``expm_multiply``.  :func:`apply_evolution` is a one-record call into the
-engine.
+so each quadratic factor exponential splits into a D x D exponential, a
+sandwich series written down entry by entry and, for the number factor, one
+small block per m + n sector (:func:`single_mode_exponentials`).  These act
+directly on the (D^2, S) stack of an ensemble's records; no D^2 x D^2
+matrix is formed or exponentiated.  Two or more modes apply the sparse
+quadratic lifts with ``expm_multiply``.  :meth:`EnsemblePropagator.evolve_records`
+evolves a whole ensemble in one call, and :func:`apply_evolution` is a
+one-record call into the engine.
 """
 
 from __future__ import annotations
@@ -76,12 +78,14 @@ def _lowering_exp_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return T, np.maximum(n - m, 0)
 
 
-def lowering_exp(c: complex, dim: int) -> np.ndarray:
+def lowering_exp(c: complex | np.ndarray, dim: int) -> np.ndarray:
     """exp(c a) on a dim-level truncation, exactly: a is nilpotent there, so
     the series sum_k c^k a^k / k! ends and K[m, n] = c^(n-m)/(n-m)! sqrt(n!/m!).
-    exp(c a^dag) is its transpose."""
+    exp(c a^dag) is its transpose.  An array ``c`` gives one matrix per
+    entry, stacked along its leading axes."""
     T, k = _lowering_exp_table(dim)
-    return T * np.power(complex(c), k)
+    powers = np.power(np.asarray(c, dtype=complex)[..., None], np.arange(dim))
+    return T * powers[..., k]
 
 
 @lru_cache(maxsize=32)
@@ -116,22 +120,13 @@ class FockDensityMatrix:
 
     def tail_mass(self) -> float:
         """Largest relative population of any mode's top Fock level."""
-        pops = np.real(np.diag(self.rho)).reshape((self.dim_per_mode,) * self.n_modes)
-        total = pops.sum()
-        if total <= 0:
-            return np.inf
-        worst = 0.0
-        for axis in range(self.n_modes):
-            sl = [slice(None)] * self.n_modes
-            sl[axis] = self.dim_per_mode - 1
-            worst = max(worst, float(np.abs(pops[tuple(sl)].sum())) / abs(total))
-        return worst
+        return float(_tail_masses(self.rho[None], self.n_modes,
+                                  self.dim_per_mode)[0])
 
     def check_hermitian(self) -> None:
-        scale = max(1.0, float(np.abs(self.rho).max()))
-        dev = float(np.abs(self.rho - self.rho.conj().T).max())
-        if dev > HERMITICITY_TOL * scale:
-            raise NonHermitianResult(f"Hermiticity deviation {dev:.3e}")
+        dev, scale = _hermiticity_deviation(self.rho[None])
+        if dev[0] > HERMITICITY_TOL * scale[0]:
+            raise NonHermitianResult(f"Hermiticity deviation {dev[0]:.3e}")
 
     def purity(self) -> float:
         tr = self.trace().real
@@ -289,31 +284,54 @@ def evolution_superoperators(factors: EvolutionFactors, dim: int):
     return s_ann, s_num, s_cre
 
 
-def _sandwich_series(c: complex, sandwich: sp.spmatrix, dim: int) -> sp.csr_matrix:
-    """exp(c * sandwich) for a nilpotent single-mode sandwich lift: the
-    Taylor series stops after dim terms on the truncation."""
-    step = (c * sandwich).tocsr()
-    term = sp.identity(dim * dim, dtype=complex, format="csr")
-    total = term
-    for k in range(1, dim):
-        term = (term @ step) / k
-        total = total + term
-    return total.tocsr()
+@lru_cache(maxsize=32)
+def _raising_sandwich_table(dim: int) -> tuple:
+    """(out, inn, k, w): the raising sandwich series
+    sum_k c^k / k! a^dag^k rho a^k on column-stacked vec(rho) has the entry
+    w c^k at [out, inn], with out = m + n dim taking rho[m - k, n - k] at
+    inn = out - k (dim + 1) and w = sqrt(m!/(m-k)!) sqrt(n!/(n-k)!) / k!."""
+    levels = np.arange(dim)
+    # root falling factorials rf[m, k] = sqrt(m!/(m-k)!), zero for k > m
+    rf = np.ones((dim, dim))
+    rf[:, 1:] = np.cumprod(np.sqrt(np.maximum(levels[:, None] - levels[None, :-1],
+                                              0)), axis=1)
+    k_fact = np.array([float(factorial(k)) for k in range(dim)])
+    m, n, k = np.indices((dim, dim, dim)).reshape(3, -1)
+    keep = k <= np.minimum(m, n)
+    m, n, k = m[keep], n[keep], k[keep]
+    out = m + n * dim
+    return out, out - k * (dim + 1), k, rf[m, k] * rf[n, k] / k_fact[k]
 
 
-def _sector_expm(s_num: sp.spmatrix, dim: int) -> sp.csr_matrix:
-    """exp(S_num) one sector at a time: every term of the number factor keeps
-    m + n fixed, so its lift is block diagonal with blocks of at most dim."""
-    s_num = s_num.toarray()
-    k = np.arange(dim * dim)
-    sector = k % dim + k // dim     # m + n of column-stacked entry k
+def _sandwich_exp(c: complex, dim: int, raising: bool) -> sp.csr_matrix:
+    """exp(c S) for the sandwich S: rho -> a^dag rho a (``raising``) or
+    a rho a^dag: the series ends after dim terms on the truncation.  The
+    lowering series is the transpose of the raising one."""
+    out, inn, k, w = _raising_sandwich_table(dim)
+    rows, cols = (out, inn) if raising else (inn, out)
+    return sp.csr_matrix((w * np.power(complex(c), k), (rows, cols)),
+                         shape=(dim * dim, dim * dim))
+
+
+def _number_sector_exp(d_under: complex, d_breve: complex,
+                       dim: int) -> sp.csr_matrix:
+    """exp(S_num) of one mode, one m + n sector at a time.  On the sector's
+    entries rho[m, s - m] the number factor d_u a^dag a rho
+    + rho conj(d_u) a^dag a + d_breve a^dag rho a^dag + conj(d_breve) a rho a
+    is tridiagonal: d_u m + conj(d_u) (s - m) on the diagonal, and it takes
+    rho[m - 1, s - m + 1] (a^dag rho a^dag) and rho[m + 1, s - m - 1]
+    (a rho a) from the neighbouring entries."""
     rows, cols, vals = [], [], []
     for s in range(2 * dim - 1):
-        idx = np.flatnonzero(sector == s)
-        block = expm(s_num[np.ix_(idx, idx)])
+        m = np.arange(max(0, s - dim + 1), min(s, dim - 1) + 1)
+        idx = m + (s - m) * dim
+        block = np.diag(d_under * m + np.conj(d_under) * (s - m))
+        block[1:, :-1] += np.diag(d_breve * np.sqrt(m[1:] * (s - m[1:] + 1.0)))
+        block[:-1, 1:] += np.diag(np.conj(d_breve)
+                                  * np.sqrt((m[:-1] + 1.0) * (s - m[:-1])))
         rows.append(np.repeat(idx, idx.size))
         cols.append(np.tile(idx, idx.size))
-        vals.append(block.ravel())
+        vals.append(expm(block).ravel())
     d2 = dim * dim
     return sp.csr_matrix((np.concatenate(vals),
                           (np.concatenate(rows), np.concatenate(cols))),
@@ -328,50 +346,87 @@ def single_mode_exponentials(factors: EvolutionFactors, dim: int) -> list:
     factor is K = exp(L' a^2 + l_u a) with M the terminating sandwich series
     sum_k (2 L_breve)^k / k! a^k rho a^dag^k; the creation factor is the same
     with a^dag for a; the number factor has K = None and M its sector-block
-    exponential.  Only D x D matrices and number sectors are exponentiated.
+    exponential.  The sandwich series are written down entry by entry, and
+    only D x D matrices and the number sectors are exponentiated.
     """
     if factors.n_modes != 1:
         raise DimensionMismatch("structured exponentials are single-mode only")
     a, ad, _ = fock_operators(dim)
-    a_s, ad_s = sp.csr_matrix(a), sp.csr_matrix(ad)
     ann = (expm(factors.L_prime[0, 0] * (a @ a) + factors.l_under[0] * a),
-           _sandwich_series(2.0 * factors.L_breve[0, 0], sp.kron(a_s, a_s), dim))
-    num = (None, _sector_expm(evolution_superoperators(factors, dim)[1], dim))
+           _sandwich_exp(2.0 * factors.L_breve[0, 0], dim, raising=False))
+    num = (None, _number_sector_exp(factors.D_under[0, 0],
+                                    factors.D_breve[0, 0], dim))
     cre = (expm(factors.R_prime[0, 0] * (ad @ ad) + factors.r_under[0] * ad),
-           _sandwich_series(2.0 * factors.R_breve[0, 0], sp.kron(ad_s, ad_s), dim))
+           _sandwich_exp(2.0 * factors.R_breve[0, 0], dim, raising=True))
     return [ann, num, cre]
 
 
-def _apply_exponential(K: np.ndarray | None, M: sp.spmatrix | None,
+def _apply_exponential(K: np.ndarray, M: sp.spmatrix | None,
                        V: np.ndarray, side: int) -> np.ndarray:
-    """kron(conj(K), K) @ M @ V for vec(rho) columns V of a side x side rho
-    (a vector or a (side^2, k) stack), with the Kronecker factor applied as
-    K rho K^dag.  ``K`` or ``M`` may be None (identity)."""
+    """kron(conj(K), K) @ M @ V for a (side^2, S) stack V of vec(rho)
+    columns, with the Kronecker factor applied as K rho K^dag.  ``K`` is one
+    side x side matrix or an (S, side, side) stack, one per column (a single
+    column of V is then shared by every K); ``M`` may be None (identity)."""
     if M is not None:
         V = M @ V
-    if K is None:
-        return V
     R = V.reshape(side, side, -1, order="F").transpose(2, 0, 1)
-    R = K @ R @ K.conj().T
-    return R.transpose(1, 2, 0).reshape(V.shape, order="F")
+    R = K @ R @ K.conj().swapaxes(-1, -2)
+    return R.transpose(1, 2, 0).reshape(side * side, -1, order="F")
+
+
+def _kron_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """np.kron of the matching matrices of two (..., ., .) stacks."""
+    *lead, p, q = A.shape
+    r, s = B.shape[-2:]
+    return np.einsum("...ij,...kl->...ikjl", A, B).reshape(*lead, p * r, q * s)
+
+
+def _hermiticity_deviation(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(max |rho - rho^dag|, max(1, max |rho|)) of each state of an
+    (S, d, d) stack."""
+    dev = np.abs(R - R.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    return dev, np.maximum(1.0, np.abs(R).max(axis=(1, 2)))
+
+
+def _tail_masses(R: np.ndarray, n_modes: int, dim: int) -> np.ndarray:
+    """Largest relative population of any mode's top Fock level, for each
+    state of an (S, D^N, D^N) stack; inf for a state whose trace is <= 0."""
+    pops = np.real(np.diagonal(R, axis1=1, axis2=2)).reshape(
+        (len(R),) + (dim,) * n_modes)
+    total = pops.reshape(len(R), -1).sum(axis=1)
+    top = np.zeros(len(R))
+    for axis in range(1, n_modes + 1):
+        top = np.maximum(top, np.abs(np.take(pops, dim - 1, axis=axis)
+                                     .reshape(len(R), -1).sum(axis=1)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(total <= 0, np.inf, top / np.abs(total))
 
 
 class EnsemblePropagator:
     """The state engine: record-independent quadratic factors built once,
-    cheap per-record linear factors.
+    cheap per-record linear factors, any number of records per call.
 
     The annihilation-species linear factor commutes with its quadratic factor
     (and likewise for the creation species), so the quadratic exponentials
     are shared by every record.  Per record only the linear factors are
     applied, as rho -> K rho K^dag with K = kron_i exp(l_i a) before the
     quadratic factors and K = kron_i exp(r_i a)^T after them, each
-    per-mode factor a closed-form D x D matrix (:func:`lowering_exp`).  One
-    mode keeps the quadratic core as a dense D^2 x D^2 matrix assembled from
-    :func:`single_mode_exponentials`; more modes keep the sparse quadratic
-    lifts and apply them with ``expm_multiply`` per record.
+    per-mode factor a closed-form D x D matrix (:func:`lowering_exp`).
 
-    ``blocks`` (the propagator blocks the factors came from) is needed only
-    by :meth:`evolve_record`, which normal-orders a record's integrals.
+    One mode keeps the three (K, M) pairs of :func:`single_mode_exponentials`:
+    two D x D exponentials, two sandwich series written down in closed form
+    and the number factor's sector blocks.  They are applied straight to the
+    (D^2, S) stack of a call's records; no D^2 x D^2 matrix is formed or
+    exponentiated.  More modes keep the sparse quadratic lifts of
+    :func:`evolution_superoperators` and apply them with ``expm_multiply``,
+    one record at a time.
+
+    :meth:`evolve_records` evolves a whole ensemble in one pass: one
+    normal ordering of the (S, 2N) stack of integrals, one application of
+    the factors, and the finiteness, Hermiticity and tail checks over the
+    stack.  :meth:`propagate_vec`, :meth:`evolve` and :meth:`evolve_record`
+    are its one-record calls.  ``blocks`` (the propagator blocks the factors
+    came from) is needed only by the methods that normal-order integrals.
     """
 
     def __init__(self, factors: EvolutionFactors, dim: int,
@@ -384,76 +439,143 @@ class EnsemblePropagator:
         self.blocks = blocks
         self.delta_prime = factors.delta_prime
         if n == 1:
-            core = np.eye(dim * dim, dtype=complex)
-            for K, M in single_mode_exponentials(base, dim):
-                core = _apply_exponential(K, M, core, dim)
-            self.core = core
-            self._quadratic = ()
+            self._exponentials = tuple(single_mode_exponentials(base, dim))
+            self._lifts = ()
         else:
-            self.core = None
-            self._quadratic = tuple(s.tocsc() for s in
-                                    evolution_superoperators(base, dim))
+            self._exponentials = ()
+            self._lifts = tuple(s.tocsc() for s in
+                                evolution_superoperators(base, dim))
 
     @classmethod
     def from_blocks(cls, blocks: PropagatorBlocks, dim: int) -> "EnsemblePropagator":
         """Engine for every record evolved over ``blocks``: disentangles once."""
         return cls(EvolutionFactors.from_blocks(blocks), dim, blocks=blocks)
 
+    def _linear_factors(self, coeffs: np.ndarray) -> np.ndarray:
+        """(..., S, D^N, D^N) stacks of kron_i exp(c_i a) for (..., S, N)
+        coefficients."""
+        per_mode = lowering_exp(coeffs, self.dim)        # (..., S, N, D, D)
+        return reduce(_kron_stack, [per_mode[..., i, :, :]
+                                    for i in range(self.n_modes)])
+
+    def _evolve_stack(self, v0: np.ndarray, l_under: np.ndarray,
+                      r_under: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        """(D^2N, S) stack of vec(rho) evolved from vec(rho0) ``v0`` by S
+        records' normal-ordered (S, N) ``l_under``, ``r_under`` and (S,)
+        ``sigma``, scalar exp(delta' + sigma) included.  No checks."""
+        side = self.dim ** self.n_modes
+        k_l, k_r = self._linear_factors(np.array([l_under, r_under]))
+        k_r = k_r.swapaxes(1, 2)
+        v0 = v0.reshape(-1, 1)
+        if self._exponentials:
+            # every factor of a species commutes with the others, so each
+            # record's K joins the shared K of its species, and M_ann acts
+            # once on rho0 for the whole stack
+            (k_ann, m_ann), (_, m_num), (k_cre, m_cre) = self._exponentials
+            V = _apply_exponential(k_ann @ k_l, m_ann, v0, side)
+            V = _apply_exponential(k_r @ k_cre, m_cre, m_num @ V, side)
+        else:
+            # one column per expm_multiply call: a many-column call was
+            # measured slower than the same columns one at a time
+            V = _apply_exponential(k_l, None, v0, side)
+            V = np.column_stack([reduce(lambda v, s: expm_multiply(s, v),
+                                        self._lifts, v) for v in V.T])
+            V = _apply_exponential(k_r, None, V, side)
+        # an overflowing scalar is reported by the finiteness check
+        with np.errstate(over="ignore", invalid="ignore"):
+            return V * np.exp(self.delta_prime + sigma)
+
+    def _checked_states(self, V: np.ndarray,
+                        name_records: bool) -> list[FockDensityMatrix]:
+        """The states of a (D^2N, S) stack, after checking each for finite
+        entries, Hermiticity and tail population above ``DEFAULT_TAIL_TOL``.
+        The first failing record raises; with ``name_records`` its error
+        message starts with its index."""
+        side = self.dim ** self.n_modes
+        R = V.reshape(side, side, -1, order="F").transpose(2, 0, 1)
+        finite = np.isfinite(R).all(axis=(1, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            dev, scale = _hermiticity_deviation(R)
+            tail = _tail_masses(R, self.n_modes, self.dim)
+        skewed = dev > HERMITICITY_TOL * scale
+        spilled = tail > DEFAULT_TAIL_TOL
+        bad = np.flatnonzero(~finite | skewed | spilled)
+        if bad.size:
+            i = bad[0]
+            where = f"record {i}: " if name_records else ""
+            if not finite[i]:
+                raise MatrixExpFailure(f"{where}evolved state has non-finite "
+                                       "entries")
+            if skewed[i]:
+                raise NonHermitianResult(
+                    f"{where}Hermiticity deviation {dev[i]:.3e}")
+            raise TruncationOverflow(
+                f"{where}tail population {tail[i]:.3e} > {DEFAULT_TAIL_TOL:.1e}")
+        return [FockDensityMatrix(n_modes=self.n_modes, dim_per_mode=self.dim,
+                                  rho=rho) for rho in R]
+
+    def _check_initial(self, rho0: FockDensityMatrix) -> np.ndarray:
+        """vec(rho0), after checking that rho0 lives on the engine's modes."""
+        if rho0.n_modes != self.n_modes or rho0.dim_per_mode != self.dim:
+            raise DimensionMismatch(
+                f"state has {rho0.n_modes} mode(s) x {rho0.dim_per_mode} "
+                f"levels; engine has {self.n_modes} x {self.dim}")
+        return rho0.rho.reshape(-1, order="F").astype(complex)
+
     def propagate_vec(self, v0: np.ndarray, l_under: np.ndarray,
                       r_under: np.ndarray, sigma: complex) -> np.ndarray:
         """exp(S_cre) exp(S_num) exp(S_ann) on vec(rho0) for one record,
         including the scalar exp(delta' + sigma).  No checks."""
-        side = self.dim ** self.n_modes
-        k_l = reduce(np.kron, [lowering_exp(c, self.dim) for c in l_under])
-        k_r = reduce(np.kron, [lowering_exp(c, self.dim) for c in r_under]).T
-        v = _apply_exponential(k_l, None, v0, side)
-        if self.core is not None:
-            v = self.core @ v
-        else:
-            for s in self._quadratic:
-                v = expm_multiply(s, v)
-        v = _apply_exponential(k_r, None, v, side)
-        # an overflowing scalar is reported by evolve's finiteness check
-        with np.errstate(over="ignore", invalid="ignore"):
-            return v * np.exp(self.delta_prime + sigma)
+        return self._evolve_stack(np.asarray(v0), np.asarray(l_under)[None],
+                                  np.asarray(r_under)[None],
+                                  np.array([sigma]))[:, 0]
 
     def evolve(self, rho0: FockDensityMatrix, l_under: np.ndarray,
                r_under: np.ndarray, sigma: complex) -> FockDensityMatrix:
-        """Evolved, unnormalized state of one record, checked for Hermiticity
-        and for tail population above ``DEFAULT_TAIL_TOL``.
+        """Evolved, unnormalized state of one record, checked for finite
+        entries, for Hermiticity and for tail population above
+        ``DEFAULT_TAIL_TOL``.
 
         The result carries the record-independent scalar exp(delta' + sigma);
         multiplying by exp(h) then gives the full linear-evolution state whose
         trace weights the record probability.
         """
-        if rho0.n_modes != self.n_modes or rho0.dim_per_mode != self.dim:
-            raise DimensionMismatch(
-                f"state has {rho0.n_modes} mode(s) x {rho0.dim_per_mode} "
-                f"levels; engine has {self.n_modes} x {self.dim}")
-        v = self.propagate_vec(rho0.rho.reshape(-1, order="F").astype(complex),
-                               l_under, r_under, sigma)
-        if not np.all(np.isfinite(v)):
-            raise MatrixExpFailure("evolved state has non-finite entries")
-        out = FockDensityMatrix(n_modes=self.n_modes, dim_per_mode=self.dim,
-                                rho=v.reshape((rho0.dim, rho0.dim), order="F"))
-        out.check_hermitian()
-        tail = out.tail_mass()
-        if tail > DEFAULT_TAIL_TOL:
-            raise TruncationOverflow(
-                f"tail population {tail:.3e} > {DEFAULT_TAIL_TOL:.1e}")
-        return out
+        v = self.propagate_vec(self._check_initial(rho0), l_under, r_under,
+                               sigma)
+        return self._checked_states(v[:, None], name_records=False)[0]
+
+    def _normal_ordered(self, l_prime: np.ndarray, r_prime: np.ndarray):
+        """(l_u, r_u, sigma) of one record's (2N,) integrals or of an
+        (S, 2N) stack, normal-ordered against the engine's blocks; l_u and
+        r_u keep their physical half."""
+        if self.blocks is None:
+            raise ValueError("normal ordering needs an engine built from blocks")
+        n = self.n_modes
+        l_u, r_u = normal_order_linear(self.blocks, l_prime, r_prime)
+        return (l_u[..., :n], r_u[..., :n],
+                reordering_scalar(self.blocks, r_prime))
 
     def evolve_record(self, rho0: FockDensityMatrix,
                       integrals: TrajectoryIntegrals) -> FockDensityMatrix:
         """:meth:`evolve` for one record's integrals (l', r'), normal-ordered
         against the engine's blocks."""
-        if self.blocks is None:
-            raise ValueError("evolve_record needs an engine built from blocks")
-        n = self.n_modes
-        l_u, r_u = normal_order_linear(self.blocks, integrals.l_prime,
-                                       integrals.r_prime)
-        sigma = reordering_scalar(self.blocks, integrals.r_prime)
-        return self.evolve(rho0, l_u[:n], r_u[:n], sigma)
+        return self.evolve(rho0, *self._normal_ordered(integrals.l_prime,
+                                                       integrals.r_prime))
+
+    def evolve_records(self, rho0: FockDensityMatrix,
+                       integrals_list) -> list[FockDensityMatrix]:
+        """:meth:`evolve_record` for every record of an ensemble in one pass:
+        the integrals are normal-ordered as one (S, 2N) stack and the states
+        evolved and checked as one (D^2N, S) stack.  A failing record raises
+        an error whose message starts with its index."""
+        v0 = self._check_initial(rho0)
+        if not integrals_list:
+            return []
+        l_u, r_u, sigma = self._normal_ordered(
+            np.array([ints.l_prime for ints in integrals_list]),
+            np.array([ints.r_prime for ints in integrals_list]))
+        return self._checked_states(self._evolve_stack(v0, l_u, r_u, sigma),
+                                    name_records=True)
 
 
 def apply_evolution(rho0: FockDensityMatrix,

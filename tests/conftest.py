@@ -15,7 +15,13 @@ from lintraj.adjoint_kalman import (
     kalman_matrices,
 )
 from lintraj.errors import DimensionMismatch, LogBranchFailure
-from lintraj.lie_rep import flip, propagator_blocks, rep_of_generator, rep_of_qform
+from lintraj.lie_rep import (
+    flip,
+    propagator_blocks,
+    reordering_scalar,
+    rep_of_generator,
+    rep_of_qform,
+)
 from lintraj.oracle_sme import _check_tail, _lindblad_rhs, build_operators
 from lintraj.parameterization import (
     QuadraticForm,
@@ -100,9 +106,9 @@ def rng():
 
 def dense_evolution(rho0, factors):
     """Test oracle: the unnormalized evolved state from dense expm of each
-    full D^2 x D^2 species lift (quadratic and linear parts together),
-    times exp(delta' + sigma).  Single mode only; the engine never builds
-    these exponentials."""
+    full D^2N x D^2N species lift (quadratic and linear parts together),
+    times exp(delta' + sigma).  Meant for one mode, or two at a small D; the
+    engine never builds these exponentials."""
     v = rho0.rho.reshape(-1, order="F").astype(complex)
     for s in evolution_superoperators(factors, rho0.dim_per_mode):
         v = expm(s.toarray()) @ v
@@ -128,6 +134,14 @@ def random_single_mode_factors(rng, t=0.5):
 
     return replace(factors, l_under=cpx(), r_under=cpx(),
                    sigma=complex(0.1 * rng.normal(), 0.1 * rng.normal()))
+
+
+def overflowing_integrals(blocks, ints):
+    """``ints`` with r' scaled (by a complex factor) so that the reordering
+    scalar sigma = r'^T L' r' is 800: exp(sigma) overflows a double, as the
+    scalar of a long optomech record does."""
+    sigma = reordering_scalar(blocks, ints.r_prime)
+    return replace(ints, r_prime=np.sqrt(800.0 / sigma) * ints.r_prime)
 
 
 def einsum_accumulation(table, couplings, y):

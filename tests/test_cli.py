@@ -436,3 +436,64 @@ def test_adjoint_command_sweeps_once(homodyne_config, tmp_path, monkeypatch):
                  "--dt", "1e-3", "--t-final", "0.2",
                  "--out", str(tmp_path / "adj")]) == 0
     assert len(calls) == 1
+
+
+def _moments_rows(out) -> list[dict]:
+    lines = Path(out, "moments.csv").read_text().splitlines()[1:]
+    cols = lines[0].split(",")
+    return [dict(zip(cols, map(float, line.split(",")))) for line in lines[1:]]
+
+
+def _state_of(out, i: int):
+    import numpy as np
+
+    state = json.loads(Path(out, "states", f"traj_{i:04d}.json").read_text())
+    return np.array(state["rho_re"]) + 1j * np.array(state["rho_im"])
+
+
+def test_simulate_batch_couples_no_records(homodyne_config, tmp_path):
+    # SeedSequence.spawn's child 0 does not depend on the count, so the first
+    # trajectory of a 6-record ensemble is the record of a 1-record run
+    import numpy as np
+
+    args = ["simulate", "--config", homodyne_config, "--seed", "11",
+            "--dt", "1e-3", "--t-final", "0.3", "--fock-dim", "14",
+            "--initial", "coherent:0.4+0.2j"]
+    one, six = tmp_path / "one", tmp_path / "six"
+    assert main(args + ["--trajectories", "1", "--out", str(one)]) == 0
+    assert main(args + ["--trajectories", "6", "--out", str(six)]) == 0
+    alone, batched = _moments_rows(one)[0], _moments_rows(six)[0]
+    assert alone.keys() == batched.keys()
+    for col, value in alone.items():
+        assert abs(batched[col] - value) <= 1e-14 * abs(value), col
+    want = _state_of(one, 0)
+    assert np.abs(_state_of(six, 0) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_simulate_names_the_overflowing_record(homodyne_config, tmp_path,
+                                               capsys, monkeypatch):
+    # the third record's scalar exp(sigma) overflows: one JSON line names it,
+    # and no RuntimeWarning escapes (pytest turns warnings into errors)
+    from conftest import overflowing_integrals
+
+    from lintraj import cli
+
+    calls = []
+    accumulate = cli.accumulate_integrals
+
+    def third_overflows(table, couplings, record):
+        ints = accumulate(table, couplings, record)
+        calls.append(1)
+        if len(calls) == 3:
+            return overflowing_integrals(table.final_blocks(), ints)
+        return ints
+
+    monkeypatch.setattr(cli, "accumulate_integrals", third_overflows)
+    assert main(["simulate", "--config", homodyne_config, "--seed", "4",
+                 "--t-final", "0.2", "--fock-dim", "10", "--trajectories", "5",
+                 "--out", str(tmp_path / "run")]) == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "MatrixExpFailure"
+    assert error["message"].startswith("record 2: ")

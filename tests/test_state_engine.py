@@ -1,13 +1,21 @@
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from lintraj import state_engine
 from lintraj.errors import DimensionMismatch, MatrixExpFailure, ZeroTrace
-from lintraj.lie_rep import propagator_blocks, rep_of_generator
+from lintraj.lie_rep import (
+    normal_order_linear,
+    propagator_blocks,
+    reordering_scalar,
+    rep_of_generator,
+)
 from lintraj.parameterization import compute_generator, compute_noise_couplings
 from lintraj.state_engine import (
     EnsemblePropagator,
@@ -33,6 +41,7 @@ from lintraj.trajectory import (
 from conftest import (
     apply_evolution_power_series,
     dense_evolution,
+    overflowing_integrals,
     random_single_mode_factors,
     random_spec,
 )
@@ -363,3 +372,127 @@ def test_non_finite_state_is_named():
         with pytest.raises(MatrixExpFailure):
             engine.evolve(vacuum_state(1, 8), factors.l_under, factors.r_under,
                           factors.sigma)
+
+
+# A cool homodyne mode (K = 0.02): all three quadratic species, sandwiches
+# included, are nonzero, and the states of seeds 0..6 stay inside a 6-level
+# truncation (other seeds may need 8 levels).
+_COOL_DT, _COOL_STEPS = 1e-3, 300
+
+
+@lru_cache(maxsize=1)
+def _cool_homodyne_pipeline():
+    spec = builtin_homodyne_thermal(1.0, 0.02, 0.8)
+    table = BlockTable(rep_of_generator(compute_generator(spec)), _COOL_DT,
+                       _COOL_STEPS)
+    return spec, table, compute_noise_couplings(spec)
+
+
+def _cool_homodyne_records(seeds):
+    spec, table, nc = _cool_homodyne_pipeline()
+    return table.final_blocks(), [accumulate_integrals(
+        table, nc, sample_ostensible_record(spec, _COOL_DT,
+                                            _COOL_DT * _COOL_STEPS, seed=s))
+        for s in seeds]
+
+
+def _relative_gap(got, want) -> float:
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+@pytest.mark.parametrize("n_records", [1, 2, 7])
+@pytest.mark.parametrize("dim", [6, 12, 20])
+def test_evolve_records_match_dense_oracle(dim, n_records):
+    blocks, records = _cool_homodyne_records(range(n_records))
+    rho0 = coherent_state(1, dim, 0.2 - 0.1j)
+    states = EnsemblePropagator.from_blocks(blocks, dim).evolve_records(
+        rho0, records)
+    assert len(states) == n_records
+    for state, ints in zip(states, records):
+        want = dense_evolution(rho0, EvolutionFactors.from_blocks(blocks, ints))
+        assert _relative_gap(state.rho, want) <= 1e-12
+
+
+def test_two_mode_evolve_records_match_dense_oracle():
+    # two damped homodyne modes with a quadrature (beam-splitter) coupling
+    C = np.zeros((2, 4), dtype=complex)
+    C[0, :2] = np.sqrt(0.5) * np.array([1, 1j])
+    C[1, 2:] = np.sqrt(0.35) * np.array([1, 1j])
+    M = np.zeros((2, 4), dtype=complex)
+    M[0, 0] = M[1, 1] = 1.0
+    G = np.zeros((4, 4))
+    G[0, 2] = G[2, 0] = G[1, 3] = G[3, 1] = 0.2
+    spec = validate_spec(SystemSpec(n_modes=2, n_channels=2, G=G, C=C, M=M))
+    table = BlockTable(rep_of_generator(compute_generator(spec)), 1e-3, 300)
+    nc = compute_noise_couplings(spec)
+    records = [accumulate_integrals(table, nc, sample_ostensible_record(
+        spec, 1e-3, 0.3, seed=k)) for k in range(3)]
+    blocks = table.final_blocks()
+    rho0 = coherent_state(2, 4, [0.05, -0.04j])
+    states = EnsemblePropagator.from_blocks(blocks, 4).evolve_records(rho0,
+                                                                     records)
+    for state, ints in zip(states, records):
+        want = dense_evolution(rho0, EvolutionFactors.from_blocks(blocks, ints))
+        assert _relative_gap(state.rho, want) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(dim=st.sampled_from([8, 12]),
+       seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=8))
+def test_batched_records_equal_single_records(dim, seeds):
+    blocks, records = _cool_homodyne_records(seeds)
+    engine = EnsemblePropagator.from_blocks(blocks, dim)
+    rho0 = coherent_state(1, dim, 0.2 - 0.1j)
+    batched = engine.evolve_records(rho0, records)
+    for state, ints in zip(batched, records):
+        assert _relative_gap(state.rho,
+                             engine.evolve_record(rho0, ints).rho) <= 1e-13
+
+
+@pytest.mark.parametrize("n_modes", [1, 2])
+def test_stacked_normal_ordering_equals_rows(n_modes, rng):
+    spec = random_spec(n_modes, 2, rng)
+    blocks = propagator_blocks(rep_of_generator(compute_generator(spec)), 0.4)
+    l_p, r_p = (rng.normal(size=(2, 5, 2 * n_modes))
+                + 1j * rng.normal(size=(2, 5, 2 * n_modes)))
+    l_u, r_u = normal_order_linear(blocks, l_p, r_p)
+    rows = [normal_order_linear(blocks, l, r) for l, r in zip(l_p, r_p)]
+    pairs = ((l_u, [row[0] for row in rows]), (r_u, [row[1] for row in rows]),
+             (reordering_scalar(blocks, r_p),
+              [reordering_scalar(blocks, r) for r in r_p]))
+    for got, want in pairs:
+        want = np.array(want)
+        assert got.shape == want.shape
+        assert _relative_gap(got, want) <= 1e-15
+
+
+def test_single_mode_engine_build_forms_no_lift(monkeypatch):
+    dim = 12
+    shapes = []
+
+    def no_lifts(*args, **kwargs):
+        raise AssertionError("the one-mode engine built a D^2 x D^2 lift")
+
+    def recording_expm(m):
+        shapes.append(m.shape)
+        return expm(m)
+
+    monkeypatch.setattr(state_engine, "evolution_superoperators", no_lifts)
+    monkeypatch.setattr(state_engine, "expm", recording_expm)
+    blocks, records = _cool_homodyne_records(range(3))
+    engine = EnsemblePropagator.from_blocks(blocks, dim)
+    assert shapes and all(len(s) == 2 and max(s) <= dim for s in shapes)
+    engine.evolve_records(coherent_state(1, dim, 0.2), records)
+
+
+def test_evolve_records_edge_cases_and_failing_record():
+    blocks, records = _cool_homodyne_records(range(5))
+    engine = EnsemblePropagator.from_blocks(blocks, 8)
+    rho0 = coherent_state(1, 8, 0.2)
+    assert engine.evolve_records(rho0, []) == []
+    with pytest.raises(DimensionMismatch):
+        engine.evolve_records(coherent_state(1, 6, 0.2), records)
+    records[3] = overflowing_integrals(blocks, records[3])
+    # no np.errstate here: an escaping RuntimeWarning fails the test
+    with pytest.raises(MatrixExpFailure, match=r"^record 3: "):
+        engine.evolve_records(rho0, records)
