@@ -15,6 +15,10 @@ Backward: Lambda = Y X^{-1} with [X; Y] on the linear Riccati flow.  The flow
 keeps [X; Y] Lagrangian, X^T Y = Y^T X (it starts at zero and its derivative
 Y^T Cm Y + X^T 4 B^T B X is symmetric), so the sweep's record kernel
 X^T (2 B^T + Lambda S^T) is [X; Y]^T [2 B^T; S^T] and needs no inverse of X.
+The flow is linear and its one-step matrix is fixed, so :func:`backward_sweep`
+advances in segments over stacked powers of that step instead of one step at
+a time.  Its test oracles in ``tests/conftest.py`` are the per-step
+``inverse_backward_sweep`` and the 40-digit arbiter ``mp_backward_sweep``.
 
 Forward: :func:`forward_covariance_flow` is the one record-independent
 covariance and gain flow, with measurement gain ``2 V B^T - S^T`` (the sign of
@@ -31,9 +35,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import CrossCheckFailure, FilterDivergence, RiccatiBlowup
+from .errors import (
+    CrossCheckFailure,
+    DimensionMismatch,
+    FilterDivergence,
+    RiccatiBlowup,
+)
+from .lie_rep import _POWER_CHUNK, step_powers
 from .system import SystemSpec
-from .trajectory import MeasurementRecord
+from .trajectory import MeasurementRecord, checked_currents
 
 INFO_FLOOR = 1e-12
 
@@ -147,21 +157,44 @@ def backward_sweep(mats: KalmanMatrices, record: MeasurementRecord,
 
     tau is the earliest time the effect has been integrated back to; entry 0
     is tau = record.t_final (flat effect), the last entry tau = 0, where
-    ``moments`` is taken.  [X; Y] follows the linear Riccati flow one step at
-    a time; the covariance part Lambda = Y X^{-1} is record-independent, and
+    ``moments`` is taken.  [X; Y] follows the linear Riccati flow; the
+    covariance part Lambda = Y X^{-1} is record-independent, and
     z = X^{-T} w with w the Ito quadrature of the record slices the sweep has
-    passed.  Each slice adds [X; Y]^T [2 B^T; S^T] y dt to w (see the module
-    docstring), so X is inverted only at the samples.
+    passed.  Slice k adds g_k [X; Y]_k to w, with g_k = y^T [2 B^T; S^T]^T dt
+    (see the module docstring), so X is inverted only at the samples.
+
+    The sweep runs in segments of up to ``_POWER_CHUNK`` steps, each ending
+    at the next sample point at the latest, so the samples and taus are
+    those of a per-step sweep.  The powers P^0..P^C of the one-step flow P
+    are formed once per call (:func:`~lintraj.lie_rep.step_powers`).  A
+    segment of n steps from k0 adds sum_i g_{k0+i} P^i [X; Y]_{k0} to w as
+    one product of the flattened record slices with the stacked
+    P^i [X; Y]_{k0}, then sets [X; Y] <- P^n [X; Y].  This reorders the
+    per-step arithmetic; the tests hold the result to a 40-digit sweep from
+    the same float64 step and record (``mp_backward_sweep`` in
+    ``tests/conftest.py``).
+
+    Raises DimensionMismatch for a record whose column count is not the
+    system's 2L or whose row count is not its steps, ValueError for complex
+    or non-finite currents, and RiccatiBlowup when the flow leaves the
+    floats.
     """
+    y = checked_currents(record.y, mats.B.shape[0])
     steps = record.steps
+    if len(y) != steps:
+        raise DimensionMismatch(f"record has {len(y)} rows for {steps} steps")
     dt = record.dt
     n2 = 2 * mats.n_modes
+    # left-multiplied powers P^k = step @ P^(k-1), as transposed powers of
+    # step^T: up to the first segment end, where cond(Lambda) is largest,
+    # [X; Y] is then bitwise the per-step product step @ [X; Y]
     step = expm(_riccati_flow_matrix(mats) * dt)
+    powers = step_powers(step.T, min(_POWER_CHUNK, steps)).transpose(0, 2, 1)
     xy = np.vstack([np.eye(n2), np.zeros((n2, n2))])
     w = np.zeros(n2)
     # slice j enters once the sweep has passed backward time t_final - j dt;
     # its kernel is the flow one step before that sample
-    gy = record.y[::-1] @ (np.vstack([2.0 * mats.B.T, mats.S.T]).T * dt)
+    gy = y[::-1] @ (np.vstack([2.0 * mats.B.T, mats.S.T]).T * dt)
     sample_every = max(1, steps // max(1, n_samples - 1))
     taus, xs, Vs = [], [], []
 
@@ -180,11 +213,16 @@ def backward_sweep(mats: KalmanMatrices, record: MeasurementRecord,
                              informative=keep)
 
     moments = emit(0)
-    for k_back in range(1, steps + 1):
-        w += gy[k_back - 1] @ xy
-        xy = step @ xy
-        if k_back % sample_every == 0 or k_back == steps:
-            moments = emit(k_back)
+    k0 = 0
+    while k0 < steps:
+        k1 = min(k0 + _POWER_CHUNK, (k0 // sample_every + 1) * sample_every,
+                 steps)
+        n = k1 - k0
+        w += gy[k0:k1].reshape(-1) @ (powers[:n] @ xy).reshape(-1, n2)
+        xy = powers[n] @ xy
+        if k1 % sample_every == 0 or k1 == steps:
+            moments = emit(k1)
+        k0 = k1
     return np.array(taus), np.array(xs), np.array(Vs), moments
 
 

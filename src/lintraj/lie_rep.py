@@ -130,20 +130,31 @@ def propagator_blocks(rep: RepMatrix, t: float) -> PropagatorBlocks:
     return PropagatorBlocks.from_matrix(rep.n_modes, t, T)
 
 
+def step_powers(step: np.ndarray, count: int) -> np.ndarray:
+    """(count + 1, d, d) stack of the powers step^k, k = 0..count, each the
+    sequential product step^(k-1) @ step.  Every product is its own small
+    GEMM, too small for OpenBLAS to thread (see :func:`propagator_powers`)."""
+    powers = np.empty((count + 1,) + step.shape, dtype=step.dtype)
+    acc = powers[0] = np.eye(len(step), dtype=step.dtype)
+    for k in range(1, count + 1):
+        acc = powers[k] = acc @ step
+    return powers
+
+
 def propagator_powers(rep: RepMatrix, dt: float, steps: int):
     """Yield (j0, chunk) with chunk[k] = expm(rep * (j0 + k + 1) * dt): the
     propagators at j = 1..steps in consecutive chunks of ``_POWER_CHUNK``
     steps.
 
     Blocked powers: the first chunk is the powers P_k = step^k, k = 1..C, of
-    the single-step propagator, one sequential product each.  Every later
-    chunk is that stack times the last propagator of the previous chunk,
-    P_k P_{j0} for k = 1..C, in one stacked matmul of (8 d, d) @ (d, d)
-    GEMMs.  A single (C d, d) @ (d, d) GEMM would be large enough for
-    OpenBLAS to thread it, and threaded GEMMs this small were seen to stall
-    for up to ~0.8 s per table in a fresh process on a 2-core host.  The
-    result differs from sequential products over the whole grid by rounding
-    only.
+    the single-step propagator, one sequential product each
+    (:func:`step_powers`).  Every later chunk is that stack times the last
+    propagator of the previous chunk, P_k P_{j0} for k = 1..C, in one
+    stacked matmul of (8 d, d) @ (d, d) GEMMs.  A single (C d, d) @ (d, d)
+    GEMM would be large enough for OpenBLAS to thread it, and threaded GEMMs
+    this small were seen to stall for up to ~0.8 s per table in a fresh
+    process on a 2-core host.  The result differs from sequential products
+    over the whole grid by rounding only.
 
     Chunks let callers keep only the entries they need without ever holding
     the whole grid.  No eigendecomposition: every generator image is
@@ -152,11 +163,7 @@ def propagator_powers(rep: RepMatrix, dt: float, steps: int):
     conditioned.
     """
     d = rep.dim
-    step = expm(rep.matrix * dt)
-    powers = np.empty((min(_POWER_CHUNK, steps), d, d), dtype=complex)
-    acc = np.eye(d, dtype=complex)
-    for k in range(len(powers)):
-        acc = powers[k] = acc @ step
+    powers = step_powers(expm(rep.matrix * dt), min(_POWER_CHUNK, steps))[1:]
     for j0 in range(0, steps, _POWER_CHUNK):
         if j0 == 0:
             chunk = powers

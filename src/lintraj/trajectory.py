@@ -162,6 +162,21 @@ class BlockTable:
         )
 
 
+def checked_currents(y, n_columns: int) -> np.ndarray:
+    """``y`` as an array of current samples with ``n_columns`` columns on
+    its last axis.  ValueError for complex or non-finite entries,
+    DimensionMismatch for any other column count."""
+    y = np.asarray(y)
+    if np.iscomplexobj(y):
+        raise ValueError("record currents must be real")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("record contains non-finite entries")
+    if y.shape[-1] != n_columns:
+        raise DimensionMismatch(f"record has {y.shape[-1]} current columns; "
+                                f"the system has {n_columns}")
+    return y
+
+
 def accumulate_integrals(table: BlockTable, couplings: NoiseCouplings,
                          record: MeasurementRecord) -> TrajectoryIntegrals:
     """Ito sums of the reordered linear increments over one record."""
@@ -200,17 +215,10 @@ def accumulate_integrals_ensemble(table: BlockTable, couplings: NoiseCouplings,
     step) pairs, carrying l', r' (the running sum_{k<j} dr'_k) and h across
     chunks, so no (n_traj, steps, 2N) array is ever formed.
     """
-    y = np.asarray(y)
-    if np.iscomplexobj(y):
-        raise ValueError("record currents must be real")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("record contains non-finite entries")
+    y = checked_currents(y, couplings.W_l.shape[0])
     n_traj, steps = y.shape[:2]
     if steps != table.steps:
         raise DimensionMismatch("record and block table use different grids")
-    if y.shape[-1] != couplings.W_l.shape[0]:
-        raise DimensionMismatch(f"record has {y.shape[-1]} current columns; "
-                                f"the system has {couplings.W_l.shape[0]}")
     m = 2 * table.n_modes
     J = flip(m)
     cols = np.flatnonzero(np.any(couplings.W_l != 0, axis=1)

@@ -6,9 +6,11 @@ from math import factorial
 
 import numpy as np
 import pytest
+from mpmath import mp
 from scipy.linalg import expm
 
 from lintraj.adjoint_kalman import (
+    INFO_FLOOR,
     EffectMoments,
     _moments_from_information,
     _riccati_flow_matrix,
@@ -215,6 +217,58 @@ def inverse_backward_sweep(mats, record, n_samples):
         xy = step @ xy
         if k_back % sample_every == 0 or k_back == steps:
             z = emit()
+    return np.array(xs), z
+
+
+def mp_backward_sweep(mats, record, n_samples):
+    """High-precision arbiter for ``backward_sweep``: the per-step sweep in
+    40-digit mpmath arithmetic from the library's float64 inputs, namely the
+    one-step flow expm(M dt), the record, B, S and dt, each read exactly.
+    Whatever order the library sums in, its x and z should sit within their
+    float64 conditioning of these values.  x is the pseudo-inverse of
+    Lambda applied to z, masked as ``_moments_from_information`` masks it.
+    Returns (xs at the samples, final z), rounded to float64."""
+    steps, dt = record.steps, record.dt
+    n2 = 2 * mats.n_modes
+    step = expm(_riccati_flow_matrix(mats) * dt)
+    kernel = np.vstack([2.0 * mats.B.T, mats.S.T]).T     # exact in float64
+    sample_every = max(1, steps // max(1, n_samples - 1))
+    with mp.workdps(40):
+        def exact(a):
+            return np.vectorize(mp.mpf, otypes=[object])(a)
+
+        step_mp = exact(step)
+        live = np.any(record.y != 0, axis=0)     # all-zero columns add 0
+        gy = (exact(record.y[::-1, live]) @ exact(kernel[live])
+              * mp.mpf(dt))
+        xy = exact(np.vstack([np.eye(n2), np.zeros((n2, n2))]))
+        w = exact(np.zeros(n2))
+        xs = []
+
+        def emit():
+            X, Y = mp.matrix(xy[:n2].tolist()), mp.matrix(xy[n2:].tolist())
+            lam = Y * X ** -1
+            lam = (lam + lam.T) / 2
+            z = (X.T) ** -1 * mp.matrix(w.tolist())
+            E, Q = mp.eigsy(lam)
+            x = np.full(n2, np.inf)
+            keep = [i for i in range(n2) if E[i] > INFO_FLOOR]
+            if keep:
+                x_mp = sum((Q[:, i] * (Q[:, i].T * z)[0] / E[i] for i in keep),
+                           mp.zeros(n2, 1))
+                flat = [sum(Q[r, i] ** 2 for i in range(n2) if i not in keep)
+                        for r in range(n2)]
+                x = np.array([np.inf if flat[r] > 1e-10 else float(x_mp[r])
+                              for r in range(n2)])
+            xs.append(x)
+            return np.array([float(v) for v in z])
+
+        z = emit()
+        for k_back in range(1, steps + 1):
+            w = w + gy[k_back - 1] @ xy
+            xy = step_mp @ xy
+            if k_back % sample_every == 0 or k_back == steps:
+                z = emit()
     return np.array(xs), z
 
 

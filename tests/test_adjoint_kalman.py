@@ -4,6 +4,7 @@ from conftest import (
     backward_covariance,
     euler_backward,
     inverse_backward_sweep,
+    mp_backward_sweep,
     random_spec,
 )
 from scipy.linalg import expm
@@ -16,8 +17,13 @@ from lintraj.adjoint_kalman import (
     integrate_backward,
     kalman_matrices,
 )
-from lintraj.errors import CrossCheckFailure, FilterDivergence, RiccatiBlowup
-from lintraj.lie_rep import povm_blocks, rep_of_generator
+from lintraj.errors import (
+    CrossCheckFailure,
+    DimensionMismatch,
+    FilterDivergence,
+    RiccatiBlowup,
+)
+from lintraj.lie_rep import _POWER_CHUNK, povm_blocks, rep_of_generator
 from lintraj.parameterization import compute_generator, compute_noise_couplings
 from lintraj.povm import effect_from_blocks, optomech_closed_form
 from lintraj.system import (
@@ -271,16 +277,28 @@ def test_riccati_flow_keeps_xy_lagrangian(rng):
                     <= 1e-12 * np.abs(xty).max()), name
 
 
-def _assert_sweep_matches_inverse_oracle(mats, rec, n_samples=25):
-    _, xs, _, moments = backward_sweep(mats, rec, n_samples)
-    xs_ref, z_ref = inverse_backward_sweep(mats, rec, n_samples)
-    assert np.abs(moments.z - z_ref).max() <= 1e-12 * np.abs(z_ref).max()
+def _assert_within(xs, z, xs_ref, z_ref, tol=1e-12):
+    """z, and x at every sample, within ``tol`` relative of the reference."""
+    assert np.abs(z - z_ref).max() <= tol * np.abs(z_ref).max()
     assert xs.shape == xs_ref.shape
     for x, x_ref in zip(xs, xs_ref):
         finite = np.isfinite(x_ref)
         assert (np.isfinite(x) == finite).all()
         assert (np.abs(x[finite] - x_ref[finite]).max(initial=0.0)
-                <= 1e-12 * np.abs(x_ref[finite]).max(initial=0.0))
+                <= tol * np.abs(x_ref[finite]).max(initial=0.0))
+
+
+def _assert_sweep_matches_inverse_oracle(mats, rec, oracle=True, n_samples=25):
+    """The sweep against the 40-digit arbiter and, where ``oracle`` is set,
+    against ``inverse_backward_sweep``, which must then itself sit within
+    the bound of the arbiter."""
+    _, xs, _, moments = backward_sweep(mats, rec, n_samples)
+    xs_mp, z_mp = mp_backward_sweep(mats, rec, n_samples)
+    _assert_within(xs, moments.z, xs_mp, z_mp)
+    if oracle:
+        xs_ref, z_ref = inverse_backward_sweep(mats, rec, n_samples)
+        _assert_within(xs_ref, z_ref, xs_mp, z_mp)
+        _assert_within(xs, moments.z, xs_ref, z_ref)
 
 
 def test_backward_sweep_matches_inverse_oracle_long_homodyne():
@@ -292,7 +310,62 @@ def test_backward_sweep_matches_inverse_oracle_long_homodyne():
 def test_backward_sweep_matches_inverse_oracle(rng):
     for name, spec in _flow_specs(rng).items():
         rec = sample_ostensible_record(spec, 1e-3, 2.0, rng=rng)
-        _assert_sweep_matches_inverse_oracle(kalman_matrices(spec), rec)
+        # on the two-mode record cond(Lambda) reaches ~6e3 at the first
+        # sample, where the per-step inverse oracle is 1.3e-12 off the
+        # arbiter; there the arbiter alone decides
+        _assert_sweep_matches_inverse_oracle(kalman_matrices(spec), rec,
+                                             oracle=name != "random N=2")
+
+
+@pytest.mark.parametrize("steps_from_chunk",
+                         [(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2, 3)],
+                         ids=["1", "2", "C-1", "C", "C+1", "2C+3"])
+def test_sweep_segment_edges_match_inverse_oracle(steps_from_chunk):
+    # steps = a _POWER_CHUNK + b: segments end at the chunk and at the samples
+    a, b = steps_from_chunk
+    steps = a * _POWER_CHUNK + b
+    spec = builtin_homodyne_thermal(1.0, 0.3, 0.7)
+    mats = kalman_matrices(spec)
+    rec = sample_ostensible_record(spec, 1e-3, steps * 1e-3, seed=5)
+    assert rec.steps == steps
+    for n_samples in (0, 1, 2, 25, steps + 3):
+        taus, xs, _, moments = backward_sweep(mats, rec, n_samples)
+        every = max(1, steps // max(1, n_samples - 1))
+        k_back = [0] + [k for k in range(1, steps + 1)
+                        if k % every == 0 or k == steps]
+        assert np.array_equal(taus, rec.t_final - np.array(k_back) * rec.dt)
+        xs_ref, z_ref = inverse_backward_sweep(mats, rec, n_samples)
+        _assert_within(xs, moments.z, xs_ref, z_ref)
+
+
+def test_backward_sweep_rejects_wrong_column_count():
+    spec = builtin_homodyne_thermal(1.0, 0.3, 0.7)           # 2L = 4
+    rec = sample_ostensible_record(spec, 1e-3, 0.1, seed=1)
+    bad = MeasurementRecord(dt=rec.dt, steps=rec.steps, y=rec.y[:, :3])
+    with pytest.raises(DimensionMismatch, match="3 current columns"):
+        backward_sweep(kalman_matrices(spec), bad, 5)
+
+
+def test_backward_sweep_rejects_row_count_mismatch():
+    # a longer y would otherwise be swept from its wrong end without error
+    spec = builtin_homodyne_thermal(1.0, 0.3, 0.7)
+    rec = sample_ostensible_record(spec, 1e-3, 0.1, seed=1)
+    for rows in (rec.steps - 1, rec.steps + 2):
+        y = np.resize(rec.y, (rows, rec.y.shape[1]))
+        bad = MeasurementRecord(dt=rec.dt, steps=rec.steps, y=y)
+        with pytest.raises(DimensionMismatch, match=f"{rows} rows for 100"):
+            backward_sweep(kalman_matrices(spec), bad, 5)
+
+
+def test_backward_sweep_rejects_non_finite_record():
+    spec = builtin_homodyne_thermal(1.0, 0.3, 0.7)
+    rec = sample_ostensible_record(spec, 1e-3, 0.1, seed=1)
+    for value in (np.nan, np.inf):
+        y = rec.y.copy()
+        y[40, 0] = value
+        bad = MeasurementRecord(dt=rec.dt, steps=rec.steps, y=y)
+        with pytest.raises(ValueError, match="non-finite entries"):
+            backward_sweep(kalman_matrices(spec), bad, 5)
 
 
 def test_forward_flow_raises_riccati_blowup():

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from lintraj import lie_rep
@@ -142,6 +146,23 @@ def test_semigroup_property(rng):
         b = assemble(propagator_blocks(rep, t2))
         c = assemble(propagator_blocks(rep, t1 + t2))
         assert np.abs(a @ b - c).max() < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 2), t=st.floats(0.0, 2.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_propagator_blocks_round_trip(n, t, seed):
+    # the blocks hold every entry of exp(rep t) that is not fixed by its
+    # zero first row and last column, so both directions are bitwise
+    rep = rep_of_generator(compute_generator(
+        random_spec(n, 2, np.random.default_rng(seed))))
+    blocks = propagator_blocks(rep, t)
+    T = assemble(blocks)
+    assert np.array_equal(T, expm(rep.matrix * t))
+    again = PropagatorBlocks.from_matrix(n, t, T)
+    for field in dataclasses.fields(PropagatorBlocks):
+        assert np.array_equal(getattr(again, field.name),
+                              getattr(blocks, field.name)), field.name
 
 
 def test_propagator_grid_matches_direct(rng):

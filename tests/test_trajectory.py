@@ -237,6 +237,19 @@ def test_ensemble_equals_single_records(n_traj, steps, chunk, seed):
     assert _relative_gap(ens, want) <= 1e-12
 
 
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 2), ell=st.integers(1, 2), steps=st.integers(1, 80),
+       dt=st.sampled_from([1e-3, 1e-2]), seed=st.integers(0, 2 ** 32 - 1))
+def test_integrals_keep_conjugate_pairing(n, ell, steps, dt, seed):
+    rng = np.random.default_rng(seed)
+    spec = random_spec(n, ell, rng)
+    table = BlockTable(rep_of_generator(compute_generator(spec)), dt, steps)
+    y = rng.normal(size=(steps, 2 * ell)) / np.sqrt(dt)
+    ints = accumulate_integrals(table, compute_noise_couplings(spec),
+                                MeasurementRecord(dt=dt, steps=steps, y=y))
+    ints.check_pairing(1e-12)
+
+
 def test_conditioned_record_vacuum_statistics():
     spec = builtin_homodyne_thermal(1.0, 0.0, 1.0)
     dt, t_final = 1e-3, 0.4
