@@ -25,6 +25,7 @@ disentanglement and reordering used by the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm, logm
@@ -88,7 +89,9 @@ class PropagatorBlocks:
     """Blocks of exp(rep * t), named by the (row, column) label ranges.
 
     N11/N1m1/Nm11/Nm1m1 are the 2N x 2N inner blocks; N10/Nm10 the first
-    column, Nm01/Nm0m1 the last row, and c the lower-left scalar.
+    column, Nm01/Nm0m1 the last row, and c the lower-left scalar.  The
+    record-independent Nm1m1^{-1} and L' are computed once per blocks object
+    and shared by every record normal-ordered against it.
     """
 
     n_modes: int
@@ -114,6 +117,19 @@ class PropagatorBlocks:
             Nm01=T[4 * n_modes + 1, 1:m + 1], Nm0m1=T[4 * n_modes + 1, m + 1:2 * m + 1],
             c=T[4 * n_modes + 1, 0],
         )
+
+    @cached_property
+    def Nm1m1_inv(self) -> np.ndarray:
+        """Checked Nm1m1^{-1}.  A SingularBlock propagates from every access:
+        a failed computation is not cached."""
+        return _checked_inverse(self.Nm1m1, "Nm1m1")
+
+    @cached_property
+    def L_prime(self) -> np.ndarray:
+        """Symmetric annihilation-quadratic parameter, the symmetric part of
+        -(1/2) J Nm1m1^{-1} Nm11."""
+        L_prime = -0.5 * flip(2 * self.n_modes) @ self.Nm1m1_inv @ self.Nm11
+        return (L_prime + L_prime.T) / 2.0
 
 
 def propagator_blocks(rep: RepMatrix, t: float) -> PropagatorBlocks:
@@ -210,18 +226,14 @@ def disentangle_quadratic(blocks: PropagatorBlocks) -> DisentangledQuadratic:
     2 R' = N1m1 Nm1m1^{-1} J,  2 L' = -J Nm1m1^{-1} Nm11, and the scalar
     follows from the lower-left entry once tr(D_under) is known.
     """
-    m = 2 * blocks.n_modes
-    J = flip(m)
-    inv = _checked_inverse(blocks.Nm1m1, "Nm1m1")
+    J = flip(2 * blocks.n_modes)
+    R_prime = 0.5 * blocks.N1m1 @ blocks.Nm1m1_inv @ J
     lg = _principal_log(blocks.Nm1m1, "Nm1m1")
     D_under = -(J @ lg @ J).T
-    R_prime = 0.5 * blocks.N1m1 @ inv @ J
-    L_prime = -0.5 * J @ inv @ blocks.Nm11
     R_prime = (R_prime + R_prime.T) / 2.0
-    L_prime = (L_prime + L_prime.T) / 2.0
     delta_prime = (np.trace(D_under) - blocks.c) / 2.0
     return DisentangledQuadratic(n_modes=blocks.n_modes, R_prime=R_prime,
-                                 L_prime=L_prime, D_under=D_under,
+                                 L_prime=blocks.L_prime, D_under=D_under,
                                  delta_prime=delta_prime)
 
 
@@ -232,15 +244,14 @@ def normal_order_linear(blocks: PropagatorBlocks, l_prime: np.ndarray,
 
     ``l_prime`` and ``r_prime`` are (2N,) vectors or (S, 2N) stacks with one
     record per row, and (l_u, r_u) have their shape: the map is linear, so
-    a stack costs one checked inverse.  As rows, r_u = r' J inv J and
-    l_u = l' - (r' J) (inv Nm11), with inv = Nm1m1^{-1}.  The reordering
-    also spawns the scalar sigma = r'^T L' r' (see :func:`reordering_scalar`),
-    which multiplies the evolution operator when the normal-ordered factor
-    arrangement is used.
+    its inverse is shared by every call on the same ``blocks``.  As rows,
+    r_u = r' J inv J and l_u = l' - (r' J) (inv Nm11), with
+    inv = Nm1m1^{-1}.  The reordering also spawns the scalar
+    sigma = r'^T L' r' (see :func:`reordering_scalar`), which multiplies the
+    evolution operator when the normal-ordered factor arrangement is used.
     """
-    m = 2 * blocks.n_modes
-    J = flip(m)
-    inv = _checked_inverse(blocks.Nm1m1, "Nm1m1")
+    J = flip(2 * blocks.n_modes)
+    inv = blocks.Nm1m1_inv
     rJ = r_prime @ J
     return l_prime - rJ @ (inv @ blocks.Nm11), rJ @ inv @ J
 
@@ -249,12 +260,10 @@ def reordering_scalar(blocks: PropagatorBlocks,
                       r_prime: np.ndarray) -> complex | np.ndarray:
     """Scalar exponent spawned by normal-ordering the linear factors:
     sigma = r'^T L' r' with L' the annihilation-quadratic parameter.  A
-    (2N,) ``r_prime`` gives one sigma, an (S, 2N) stack one per row."""
-    m = 2 * blocks.n_modes
-    J = flip(m)
-    inv = _checked_inverse(blocks.Nm1m1, "Nm1m1")
-    L_prime = -0.5 * J @ inv @ blocks.Nm11
-    return ((r_prime @ L_prime) * r_prime).sum(axis=-1)
+    (2N,) ``r_prime`` gives one sigma, an (S, 2N) stack one per row.  Only
+    the symmetric part of L' enters, so this is the L' of
+    :func:`disentangle_quadratic`."""
+    return ((r_prime @ blocks.L_prime) * r_prime).sum(axis=-1)
 
 
 def povm_blocks(blocks: PropagatorBlocks) -> np.ndarray:

@@ -17,8 +17,13 @@ from .lie_rep import PropagatorBlocks, RepMatrix, flip, propagator_powers
 from .parameterization import NoiseCouplings
 from .system import SystemSpec
 
-# (record, step) pairs per chunk of accumulate_integrals_ensemble: a few MB of
-# temporaries, large enough that each chunk is a handful of vectorized passes
+# steps per block of the causal scan in accumulate_integrals_ensemble
+_SCAN_BLOCK = 8
+# (record, step) pairs per group of scan blocks in accumulate_integrals_ensemble.
+# A group holds the gathered (S, steps, k) record slab, each block's summed
+# [dl' | dr'] per record, the record times each block's masked (8k, 8k) matrix
+# M_c, and the M_c themselves, which are budgeted as 16k records each: a few
+# MB of temporaries, large enough that each group is a handful of GEMM stacks
 _STREAM_CHUNK = 2 ** 16
 # rows per formatted block of record_to_csv: ~0.3 MB of transient Python
 # floats and text at 2L = 4, far below the peak memory of any command
@@ -209,11 +214,23 @@ def accumulate_integrals_ensemble(table: BlockTable, couplings: NoiseCouplings,
     Both increments are linear in the record with record-independent per-step
     kernels, dl'_j = y_j KL_j and dr'_j = y_j KR_j, where
     KL_j = dt (W_l N11_j + W_r J^T Nm11_j) and
-    KR_j = dt (W_l N1m1_j + W_r J^T Nm1m1_j) J^T.  The kernels are folded once
-    per call, over only the current columns with a nonzero coupling row.  The
-    record is then streamed in time chunks of about ``_STREAM_CHUNK`` (record,
-    step) pairs, carrying l', r' (the running sum_{k<j} dr'_k) and h across
-    chunks, so no (n_traj, steps, 2N) array is ever formed.
+    KR_j = dt (W_l N1m1_j + W_r J^T Nm1m1_j) J^T, folded once per call over
+    only the k current columns with a nonzero coupling row.
+
+    Blocked causal scan (prefix sums as block products, Blelloch 1990): cut
+    the grid into blocks c of ``_SCAN_BLOCK`` steps and let y_c be a record's
+    (8k,) slab of block c.  Then dl'_c = y_c KL_c and dr'_c = y_c KR_c are
+    one GEMM of the record slabs against the stacked kernels [KL_c | KR_c],
+    and
+
+        h = sum_c [ y_c M_c y_c^T + dl'_c . R'_{<c} ],
+
+    where R'_{<c} = sum_{c' < c} dr'_{c'} and M_c, with (j, i) block
+    w_ji KL_j KR_i^T (w = 1 for i < j, 1/2 for i = j, 0 for i > j), carries
+    the pairs within the block.  M_c is record-independent; it is built per
+    group of blocks of about ``_STREAM_CHUNK`` (record, step) pairs, and l',
+    r' (the running R') and h are carried across groups, so neither an
+    (n_traj, steps, 2N) array nor an all-grid M is ever formed.
     """
     y = checked_currents(y, couplings.W_l.shape[0])
     n_traj, steps = y.shape[:2]
@@ -223,33 +240,43 @@ def accumulate_integrals_ensemble(table: BlockTable, couplings: NoiseCouplings,
     J = flip(m)
     cols = np.flatnonzero(np.any(couplings.W_l != 0, axis=1)
                           | np.any(couplings.W_r != 0, axis=1))
+    k, b = len(cols), _SCAN_BLOCK
+    n_blocks = -(-steps // b)
     w_l = couplings.W_l[cols]
     w_rj = couplings.W_r[cols] @ J.T
-    kernels = np.empty((steps, len(cols), 2 * m), dtype=complex)   # [KL | KR]
-    kernels[:, :, :m] = table.dt * (w_l @ table.N11 + w_rj @ table.Nm11)
-    kernels[:, :, m:] = table.dt * (w_l @ table.N1m1 + w_rj @ table.Nm1m1) @ J.T
-    # real record times the real view of the complex kernels: each product row
-    # reads back as the complex increments [dl' | dr'] without a copy
-    kernels_re = kernels.view(float)
+    # [KL | KR], zero past the last step so the grid is whole blocks
+    kernels = np.zeros((n_blocks * b, k, 2 * m), dtype=complex)
+    kernels[:steps, :, :m] = table.dt * (w_l @ table.N11 + w_rj @ table.Nm11)
+    kernels[:steps, :, m:] = table.dt * (w_l @ table.N1m1 + w_rj @ table.Nm1m1) @ J.T
+    kernels = kernels.reshape(n_blocks, b * k, 2 * m)
+    step_of = np.repeat(np.arange(b), k)
+    weights = (step_of[:, None] > step_of) + 0.5 * (step_of[:, None] == step_of)
 
-    l_prime = np.zeros((n_traj, m), dtype=complex)
-    r_prime = np.zeros((n_traj, m), dtype=complex)
+    totals = np.zeros((n_traj, 2 * m), dtype=complex)      # [l' | r'] so far
     h = np.zeros(n_traj, dtype=complex)
-    span = max(1, _STREAM_CHUNK // max(1, n_traj))
-    for j0 in range(0, steps, span):
-        j1 = min(j0 + span, steps)
-        # time-major (T, n_traj, 2m): the running sum is along the first axis
-        inc = np.matmul(y[:, j0:j1, cols].transpose(1, 0, 2),
-                        kernels_re[j0:j1]).view(complex)
-        dl_p, dr_p = inc[..., :m], inc[..., m:]
-        # C_j + dr'_j / 2, with C_j = sum_{k<j} dr'_k over all earlier steps
-        mid = np.cumsum(dr_p, axis=0)
-        mid -= 0.5 * dr_p
-        mid += r_prime
-        h += np.einsum("tsm,tsm->s", dl_p, mid)
-        l_prime += dl_p.sum(axis=0)
-        r_prime += dr_p.sum(axis=0)
-    return l_prime, r_prime, h
+    per_group = max(1, _STREAM_CHUNK // (b * max(1, n_traj + 16 * k)))
+    for c0 in range(0, n_blocks, per_group):
+        g = min(per_group, n_blocks - c0)
+        # steps past the grid's end repeat the last sample against zero kernels
+        t_idx = np.minimum(np.arange(c0 * b, (c0 + g) * b), steps - 1)[:, None]
+        part = y[:, t_idx, cols].reshape(n_traj, g, b * k)
+        slab = part.transpose(1, 0, 2)
+        kern = kernels[c0:c0 + g]
+        m_c = kern[..., :m] @ kern[..., m:].transpose(0, 2, 1) * weights
+        # real slabs times the real view of the complex kernels: each product
+        # row reads back as the complex block sums [dl'_c | dr'_c]
+        sums = np.matmul(slab, kern.view(float)).view(complex)
+        # y_c M_c, stored record-major: each record's sum of y_c M_c y_c^T
+        # over the group is then one row-times-matrix product
+        quad = np.empty((n_traj, g, 2 * b * k))
+        np.matmul(slab, m_c.view(float), out=quad.transpose(1, 0, 2))
+        run = np.cumsum(sums, axis=0)          # [l' | r'] since block c0
+        h += (np.matmul(part.reshape(n_traj, 1, g * b * k),
+                        quad.reshape(n_traj, g * b * k, 2)).view(complex)[:, 0, 0]
+              + np.einsum("gsm,gsm->s", sums[1:, :, :m], run[:-1, :, m:])
+              + (run[-1, :, :m] * totals[:, m:]).sum(axis=1))
+        totals += run[-1]
+    return totals[:, :m], totals[:, m:], h
 
 
 def stochastic_d(integrals: TrajectoryIntegrals, lpp_full: np.ndarray) -> np.ndarray:

@@ -221,13 +221,17 @@ def inverse_backward_sweep(mats, record, n_samples):
 
 
 def mp_backward_sweep(mats, record, n_samples):
-    """High-precision arbiter for ``backward_sweep``: the per-step sweep in
+    """High-precision arbiter for ``backward_sweep``: the exact sweep in
     40-digit mpmath arithmetic from the library's float64 inputs, namely the
-    one-step flow expm(M dt), the record, B, S and dt, each read exactly.
+    one-step flow P = expm(M dt), the record, B, S and dt, each read exactly.
     Whatever order the library sums in, its x and z should sit within their
-    float64 conditioning of these values.  x is the pseudo-inverse of
-    Lambda applied to z, masked as ``_moments_from_information`` masks it.
-    Returns (xs at the samples, final z), rounded to float64."""
+    float64 conditioning of these values.  Over each sample interval
+    k0 < k <= k1 the record term is summed by Horner's rule,
+    w += dt (sum_i y_{k0+i} K P^i) [X; Y], skipping the exact zeros of P and
+    of the kernel K, and [X; Y] advances by P^(k1 - k0) only at the sample
+    points.  x is the pseudo-inverse of Lambda applied to z, masked as
+    ``_moments_from_information`` masks it.  Returns (xs at the samples,
+    final z), rounded to float64."""
     steps, dt = record.steps, record.dt
     n2 = 2 * mats.n_modes
     step = expm(_riccati_flow_matrix(mats) * dt)
@@ -237,10 +241,14 @@ def mp_backward_sweep(mats, record, n_samples):
         def exact(a):
             return np.vectorize(mp.mpf, otypes=[object])(a)
 
-        step_mp = exact(step)
         live = np.any(record.y != 0, axis=0)     # all-zero columns add 0
-        gy = (exact(record.y[::-1, live]) @ exact(kernel[live])
-              * mp.mpf(dt))
+        y_back = exact(record.y[::-1, live]).tolist()
+        # column c of v P + y K, from the nonzero entries of column c of
+        # [P; K] and the concatenated row [v | y]
+        stacked = np.vstack([step, kernel[live]])
+        cols = [[(r, mp.mpf(stacked[r, c])) for r in np.flatnonzero(stacked[:, c])]
+                for c in range(2 * n2)]
+        powers = {}
         xy = exact(np.vstack([np.eye(n2), np.zeros((n2, n2))]))
         w = exact(np.zeros(n2))
         xs = []
@@ -264,11 +272,20 @@ def mp_backward_sweep(mats, record, n_samples):
             return np.array([float(v) for v in z])
 
         z = emit()
-        for k_back in range(1, steps + 1):
-            w = w + gy[k_back - 1] @ xy
-            xy = step_mp @ xy
-            if k_back % sample_every == 0 or k_back == steps:
-                z = emit()
+        for k0 in range(0, steps, sample_every):
+            k1 = min(k0 + sample_every, steps)
+            v = [mp.zero] * (2 * n2)
+            for row in reversed(y_back[k0:k1]):
+                src = v + row
+                v = [sum((src[r] * p for r, p in col[1:]), src[col[0][0]] * col[0][1])
+                     for col in cols]
+            w = w + np.array(v, dtype=object) @ xy * mp.mpf(dt)
+            if k1 - k0 not in powers:
+                powers[k1 - k0] = np.array(
+                    (mp.matrix(exact(step).tolist()) ** (k1 - k0)).tolist(),
+                    dtype=object)
+            xy = powers[k1 - k0] @ xy
+            z = emit()
     return np.array(xs), z
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -271,6 +272,49 @@ def test_singular_block_raises():
     bl = PropagatorBlocks.from_matrix(1, 1.0, m)
     with pytest.raises((SingularBlock, LogBranchFailure)):
         disentangle_quadratic(bl)
+
+
+def test_singular_nm1m1_raises_on_every_call():
+    m = np.eye(6, dtype=complex)
+    m[4, 4] = 1e-300
+    bl = PropagatorBlocks.from_matrix(1, 1.0, m)
+    r = np.ones(2, dtype=complex)
+    for _ in range(2):     # a failed inverse is not cached
+        with pytest.raises(SingularBlock):
+            normal_order_linear(bl, r, r)
+        with pytest.raises(SingularBlock):
+            reordering_scalar(bl, r)
+    assert "Nm1m1_inv" not in vars(bl) and "L_prime" not in vars(bl)
+
+
+def test_nm1m1_inverse_is_computed_once_per_blocks(rng):
+    gen = compute_generator(builtin_optomech_squeezing(1.0, 1.0, 0.4, 0.2, 0.3))
+    bl = propagator_blocks(rep_of_generator(gen), 0.8)
+    with mock.patch.object(lie_rep, "_checked_inverse",
+                           wraps=lie_rep._checked_inverse) as inverse:
+        disentangle_quadratic(bl)
+        for _ in range(100):
+            r = rng.normal(size=2) + 1j * rng.normal(size=2)
+            normal_order_linear(bl, r, r)
+            reordering_scalar(bl, r)
+    assert inverse.call_count == 1
+    assert disentangle_quadratic(bl).L_prime is bl.L_prime
+
+
+def test_reordering_scalar_matches_unsymmetrized_l_prime(rng):
+    # only the symmetric part of L' enters r'^T L' r'; the gap is measured
+    # against the size of the sum's terms, |r'|^T |L'| |r'|, since sigma
+    # itself can cancel to far below them
+    for n in (1, 2):
+        bl = propagator_blocks(rep_of_generator(random_generator(n, rng, 0.6)),
+                               0.9)
+        J = flip(2 * n)
+        L_unsym = -0.5 * J @ np.linalg.inv(bl.Nm1m1) @ bl.Nm11
+        for _ in range(20):
+            r = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+            want = r @ L_unsym @ r
+            scale = np.abs(r) @ np.abs(L_unsym) @ np.abs(r)
+            assert abs(reordering_scalar(bl, r) - want) <= 1e-15 * scale
 
 
 def test_reorder_identity_at_t0(rng):

@@ -179,7 +179,7 @@ def _relative_gap(got, want):
 def test_streamed_accumulation_matches_einsum_oracle(monkeypatch, system,
                                                      steps_case, n_traj):
     monkeypatch.setattr(trajectory, "_STREAM_CHUNK", 64)
-    span = 64 // n_traj        # steps per chunk
+    span = 64 // n_traj        # step counts around the old streamed chunk
     steps = {"one": 1, "chunk-1": span - 1, "chunk": span, "chunk+1": span + 1,
              "3chunk+5": 3 * span + 5}[steps_case]
     rng = np.random.default_rng(31)
@@ -198,22 +198,77 @@ def test_streamed_accumulation_matches_einsum_oracle(monkeypatch, system,
     assert _relative_gap(got, einsum_accumulation(table, nc, y)) <= 1e-12
 
 
+@pytest.mark.parametrize("n_traj", [1, 7])
+@pytest.mark.parametrize("steps_case", ["1", "7", "8", "9", "group-1", "group",
+                                        "group+1"])
+@pytest.mark.parametrize("system", ["homodyne", "optomech"])
+def test_blocked_scan_edges_match_einsum_oracle(monkeypatch, system,
+                                                steps_case, n_traj):
+    spec = {"homodyne": lambda: builtin_homodyne_thermal(1.0, 0.6, 0.7),
+            "optomech": _optomech}[system]()
+    nc = compute_noise_couplings(spec)
+    k = int((np.any(nc.W_l != 0, axis=1) | np.any(nc.W_r != 0, axis=1)).sum())
+    # a budget of three scan blocks per group, so the group edge is near
+    block = trajectory._SCAN_BLOCK
+    monkeypatch.setattr(trajectory, "_STREAM_CHUNK",
+                        3 * block * (n_traj + 16 * k))
+    group = 3 * block
+    steps = {"group-1": group - 1, "group": group,
+             "group+1": group + 1}.get(steps_case) or int(steps_case)
+    table = BlockTable(rep_of_generator(compute_generator(spec)), 1e-3, steps)
+    y = (np.random.default_rng(steps).normal(size=(n_traj, steps,
+                                                   2 * spec.n_channels))
+         / np.sqrt(1e-3))
+    got = accumulate_integrals_ensemble(table, nc, y)
+    assert _relative_gap(got, einsum_accumulation(table, nc, y)) <= 1e-12
+
+
+def test_empty_ensemble_gives_empty_integrals(homodyne_pipeline):
+    _, rep, nc = homodyne_pipeline
+    l_p, r_p, h = accumulate_integrals_ensemble(BlockTable(rep, 1e-3, 9), nc,
+                                                np.zeros((0, 9, 4)))
+    assert l_p.shape == r_p.shape == (0, 2)
+    assert h.shape == (0,)
+
+
+def test_uncoupled_spec_gives_zero_integrals():
+    # eta = 0: no current column has a coupling row (k = 0)
+    spec = builtin_homodyne_thermal(1.0, 0.3, 0.0)
+    nc = compute_noise_couplings(spec)
+    assert not (np.any(nc.W_l != 0) or np.any(nc.W_r != 0))
+    table = BlockTable(rep_of_generator(compute_generator(spec)), 1e-3, 20)
+    y = np.random.default_rng(2).normal(size=(3, 20, 4))
+    for got in accumulate_integrals_ensemble(table, nc, y):
+        assert not np.any(got)
+
+
 def test_accumulation_memory_stays_within_chunk_budget(homodyne_pipeline):
     _, rep, nc = homodyne_pipeline
-    n_traj, steps = 200, 4000
-    table = BlockTable(rep, 1e-3, steps)
-    y = np.random.default_rng(5).normal(size=(n_traj, steps, 4))
-    # each (record, step) pair of a chunk holds well under 256 bytes of
-    # temporaries at N = 1: the coupled record columns, the complex
-    # increments [dl' | dr'], the running sum and one scaled copy
-    budget_bytes = trajectory._STREAM_CHUNK * 256
-    tracemalloc.start()
-    try:
-        accumulate_integrals_ensemble(table, nc, y)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < y.nbytes + budget_bytes
+    optomech = _optomech()
+    opto = (rep_of_generator(compute_generator(optomech)),
+            compute_noise_couplings(optomech), 6)
+    # an ensemble, and single 5e4-step records, where a group of scan blocks
+    # spans thousands of steps; on optomech (k = 2 coupled columns) block
+    # matrices M_c built for the whole grid at once would exceed the bound
+    for (rep_, nc_, n_cols), n_traj, steps in (((rep, nc, 4), 200, 4000),
+                                               ((rep, nc, 4), 1, 50_000),
+                                               (opto, 1, 50_000)):
+        table = BlockTable(rep_, 1e-3, steps)
+        y = np.random.default_rng(5).normal(size=(n_traj, steps, n_cols))
+        k = int((np.any(nc_.W_l != 0, axis=1) | np.any(nc_.W_r != 0, axis=1)).sum())
+        # each (record, step) pair of a group holds well under 256 bytes of
+        # temporaries at N = 1: the coupled record columns, the complex block
+        # sums [dl' | dr'], the record times the block matrices M_c, and the
+        # M_c; beside them, the per-step kernels [KL | KR] of the k coupled
+        # columns, 4N complex entries each
+        budget_bytes = trajectory._STREAM_CHUNK * 256 + steps * k * 4 * 16
+        tracemalloc.start()
+        try:
+            accumulate_integrals_ensemble(table, nc_, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < y.nbytes + budget_bytes, (k, n_traj, steps)
 
 
 @settings(max_examples=30, deadline=None)
