@@ -31,7 +31,7 @@ from .lie_rep import (
 from .oracle_sme import integrate_linear_sme, integrate_me
 from .parameterization import (
     NoiseCouplings,
-    QuadraticGenerator,
+    QuadraticForm,
     compute_generator,
     compute_noise_couplings,
 )

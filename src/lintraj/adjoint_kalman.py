@@ -46,6 +46,8 @@ from .system import SystemSpec
 from .trajectory import MeasurementRecord, checked_currents
 
 INFO_FLOOR = 1e-12
+# largest residual crosscheck_against_povm accepts between the two routes
+CROSSCHECK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -278,14 +280,13 @@ def forward_filter(mats: KalmanMatrices, mean: np.ndarray, cov: np.ndarray,
     return means, covs
 
 
-def crosscheck_against_povm(effect, moments: EffectMoments,
-                            tol: float = 1e-8) -> dict:
+def crosscheck_against_povm(effect, moments: EffectMoments) -> dict:
     """Compare the effect-operator route with the backward-filter route.
 
     The Gaussian effect's coherent-amplitude mean maps to quadrature means via
     x = sqrt(2) (Re alpha, Im alpha); its alpha-space covariance is the
     Q-function covariance, half a vacuum unit above the Wigner covariance the
-    backward filter reports.  Raises CrossCheckFailure beyond ``tol``.
+    backward filter reports.  Raises CrossCheckFailure beyond ``CROSSCHECK_TOL``.
     """
     n = moments.n_modes
     x_eff = np.empty(2 * n)
@@ -304,7 +305,7 @@ def crosscheck_against_povm(effect, moments: EffectMoments,
         "variance_residual": var_residual,
         "informative_dims": int(moments.informative.sum()),
     }
-    if mean_residual > tol or var_residual > tol:
+    if mean_residual > CROSSCHECK_TOL or var_residual > CROSSCHECK_TOL:
         raise CrossCheckFailure(f"effect/filter mismatch: {report}")
     return report
 

@@ -48,7 +48,7 @@ from .state_engine import (
     trace_distance,
     vacuum_state,
 )
-from .system import spec_from_config, validate_spec
+from .system import spec_from_config
 from .trajectory import (
     BlockTable,
     accumulate_integrals,
@@ -166,9 +166,7 @@ def _pipeline_for(spec, dt: float, steps: int):
 def cmd_validate(args) -> int:
     cfg = _load_config(args.config)
     spec = spec_from_config(cfg)
-    validate_spec(spec)
     gen = compute_generator(spec)
-    gen.check_block_structure()
     n = spec.n_modes
     resid = max(
         float(np.abs(gen.R - gen.R.T).max()),
@@ -255,21 +253,27 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _effect_from_args(args, spec, cfg):
-    steps_hint = getattr(args, "record", None)
-    if steps_hint:
+def _integrals_from_args(args, spec):
+    """(record, final blocks, integrals) of the --record CSV, or of an
+    ostensible record sampled over --dt and --t-final when it is omitted."""
+    if args.record:
         record = record_from_csv(args.record)
     else:
         _grid_steps(args.dt, args.t_final)
         record = sample_ostensible_record(spec, args.dt, args.t_final,
                                           seed=args.seed)
     table, couplings = _pipeline_for(spec, record.dt, record.steps)
-    blocks = table.final_blocks()
-    ints = accumulate_integrals(table, couplings, record)
+    return record, table.final_blocks(), accumulate_integrals(table, couplings,
+                                                              record)
+
+
+def _effect_from_args(args, spec):
+    """(record, final blocks, effect) of the record of
+    :func:`_integrals_from_args`."""
+    record, blocks, ints = _integrals_from_args(args, spec)
     lpp_full = povm_blocks(blocks)
     d = stochastic_d(ints, lpp_full)
-    effect = effect_from_blocks(lpp_full, d)
-    return record, blocks, ints, effect
+    return record, blocks, effect_from_blocks(lpp_full, d)
 
 
 def _retrodict_prior(arg: str, n_modes: int) -> dict:
@@ -299,7 +303,7 @@ def cmd_povm(args) -> int:
     manifest, stamp = _manifest(args, cfg)
     if args.retrodict is not None:
         prior = _retrodict_prior(args.retrodict, spec.n_modes)
-    record, blocks, ints, effect = _effect_from_args(args, spec, cfg)
+    record, blocks, effect = _effect_from_args(args, spec)
     payload = {"effect": effect_to_json(effect), "t": blocks.t,
                "flat": effect.is_flat}
 
@@ -341,7 +345,7 @@ def cmd_adjoint(args) -> int:
     cfg = _load_config(args.config)
     spec = spec_from_config(cfg)
     manifest, stamp = _manifest(args, cfg)
-    record, blocks, ints, effect = _effect_from_args(args, spec, cfg)
+    record, _, effect = _effect_from_args(args, spec)
     taus, xs, vs, moments = backward_sweep(kalman_matrices(spec), record,
                                            n_samples=50)
     report = crosscheck_against_povm(effect, moments)
@@ -386,10 +390,11 @@ def cmd_compare(args) -> int:
     cfg = _load_config(args.config)
     spec = spec_from_config(cfg)
     manifest, stamp = _manifest(args, cfg)
-    record, blocks, ints, effect = _effect_from_args(args, spec, cfg)
+    record, blocks, ints = _integrals_from_args(args, spec)
     rho0 = _initial_state(args.initial, spec.n_modes, args.fock_dim)
     engine = EnsemblePropagator.from_blocks(blocks, args.fock_dim)
-    normalized, trace = normalize_and_trace(engine.evolve_record(rho0, ints))
+    normalized, trace = normalize_and_trace(
+        engine.evolve_records(rho0, [ints])[0])
     oracle = integrate_linear_sme(spec, rho0, record)
     onorm, otrace = normalize_and_trace(oracle)
     tdist = trace_distance(normalized.rho, onorm.rho)

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg import expm, logm
 
 from .errors import LogBranchFailure, MatrixExpFailure, SingularBlock
-from .parameterization import QuadraticForm, QuadraticGenerator, half_swap
+from .parameterization import QuadraticForm, half_swap
 
 _COND_LIMIT = 1e12
 # steps per chunk of propagator_powers, i.e. the number of stored powers of
@@ -57,8 +57,10 @@ class RepMatrix:
         return 4 * self.n_modes + 2
 
 
-def rep_of_qform(qf: QuadraticForm) -> RepMatrix:
-    """Image of a general quadratic form, linear and scalar parts included."""
+def rep_of_generator(qf: QuadraticForm) -> RepMatrix:
+    """Image of a quadratic form, linear and scalar parts included: of the
+    deterministic generator (R, D, L, q0) of :func:`compute_generator`, or
+    of any other element of the algebra."""
     n = qf.n
     m = 2 * n
     dim = 4 * n + 2
@@ -76,12 +78,6 @@ def rep_of_qform(qf: QuadraticForm) -> RepMatrix:
     T[dim - 1, m + 1:2 * m + 1] += -(J @ qf.lin_r)
     T[dim - 1, 0] += np.trace(qf.D) - 2.0 * qf.const
     return RepMatrix(n_modes=n, matrix=T)
-
-
-def rep_of_generator(gen: QuadraticGenerator) -> RepMatrix:
-    """Image of a deterministic generator (R, D, L, scalar)."""
-    return rep_of_qform(QuadraticForm(n=gen.n_modes, const=gen.scalar,
-                                      R=gen.R, D=gen.D, L=gen.L))
 
 
 @dataclass(frozen=True)

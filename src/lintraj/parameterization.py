@@ -95,6 +95,31 @@ class QuadraticForm:
                              lin_r=z * self.lin_r, R=z * self.R, D=z * self.D,
                              L=z * self.L)
 
+    def check_block_structure(self) -> None:
+        """Conjugation-pairing structure required for Hermiticity preservation.
+
+        For R and L (symmetric full matrices): lower-right block is the
+        conjugate of the upper-left, the breve block is Hermitian, and the
+        lower-left is its transpose.  (For single-mode real systems the breve
+        blocks are additionally real symmetric, but that is not generic.)
+        For D: lower-left is the conjugate of the breve block, lower-right the
+        conjugate of the upper-left.
+        """
+        n = self.n
+        resid = []
+        for full in (self.R, self.L):
+            a, b = full[:n, :n], full[:n, n:]
+            c, d = full[n:, :n], full[n:, n:]
+            resid += [np.abs(d - a.conj()).max(), np.abs(a - a.T).max(),
+                      np.abs(b - b.conj().T).max(), np.abs(c - b.T).max()]
+        a, b = self.D[:n, :n], self.D[:n, n:]
+        c, d = self.D[n:, :n], self.D[n:, n:]
+        resid += [np.abs(d - a.conj()).max(), np.abs(c - b.conj()).max()]
+        worst = max(float(r) for r in resid)
+        scale = max(1.0, *(float(np.abs(x).max()) for x in (self.R, self.D, self.L)))
+        if worst > BLOCK_TOL * scale:
+            raise ValueError(f"generator violates block pairing: residual {worst:.3e}")
+
 
 def product_of_linear(n: int, f1: np.ndarray, g1: np.ndarray,
                       f2: np.ndarray, g2: np.ndarray) -> QuadraticForm:
@@ -110,43 +135,6 @@ def product_of_linear(n: int, f1: np.ndarray, g1: np.ndarray,
         D=np.outer(g1, f2) + np.outer(g2, f1),
         L=np.outer(f1, f2),
     )
-
-
-@dataclass(frozen=True)
-class QuadraticGenerator:
-    """The (R, D, L) parameterization of the deterministic generator, plus the
-    scalar part q0 carried implicitly by the identity component."""
-
-    n_modes: int
-    R: np.ndarray
-    D: np.ndarray
-    L: np.ndarray
-    scalar: complex
-
-    def check_block_structure(self) -> None:
-        """Conjugation-pairing structure required for Hermiticity preservation.
-
-        For R and L (symmetric full matrices): lower-right block is the
-        conjugate of the upper-left, the breve block is Hermitian, and the
-        lower-left is its transpose.  (For single-mode real systems the breve
-        blocks are additionally real symmetric, but that is not generic.)
-        For D: lower-left is the conjugate of the breve block, lower-right the
-        conjugate of the upper-left.
-        """
-        n = self.n_modes
-        resid = []
-        for name, full in (("R", self.R), ("L", self.L)):
-            a, b = full[:n, :n], full[:n, n:]
-            c, d = full[n:, :n], full[n:, n:]
-            resid += [np.abs(d - a.conj()).max(), np.abs(a - a.T).max(),
-                      np.abs(b - b.conj().T).max(), np.abs(c - b.T).max()]
-        a, b = self.D[:n, :n], self.D[:n, n:]
-        c, d = self.D[n:, :n], self.D[n:, n:]
-        resid += [np.abs(d - a.conj()).max(), np.abs(c - b.conj()).max()]
-        worst = max(float(r) for r in resid)
-        scale = max(1.0, *(float(np.abs(x).max()) for x in (self.R, self.D, self.L)))
-        if worst > BLOCK_TOL * scale:
-            raise ValueError(f"generator violates block pairing: residual {worst:.3e}")
 
 
 @dataclass(frozen=True)
@@ -216,17 +204,12 @@ def generator_forms(spec: SystemSpec) -> QuadraticForm:
     return total.symmetrized()
 
 
-def compute_generator(spec: SystemSpec, check: bool = True) -> QuadraticGenerator:
-    """(R, D, L, q0) for a validated spec, by normal-ordered operator
-    algebra (:func:`generator_forms`), which also supplies the scalar q0."""
-    qf = generator_forms(spec)
-    gen = QuadraticGenerator(n_modes=spec.n_modes, R=qf.R, D=qf.D, L=qf.L,
-                             scalar=qf.const)
-    if check:
-        gen.check_block_structure()
-        if np.abs(qf.lin_l).max(initial=0.0) > 1e-12 or \
-           np.abs(qf.lin_r).max(initial=0.0) > 1e-12:
-            raise ValueError("deterministic generator acquired linear terms")
+def compute_generator(spec: SystemSpec) -> QuadraticForm:
+    """The deterministic generator (R, D, L) with its scalar q0 as ``const``,
+    for a validated spec, by normal-ordered operator algebra
+    (:func:`generator_forms`); its block pairing is checked."""
+    gen = generator_forms(spec)
+    gen.check_block_structure()
     return gen
 
 

@@ -27,7 +27,7 @@ directly on the (D^2, S) stack of an ensemble's records; no D^2 x D^2
 matrix is formed or exponentiated.  Two or more modes apply the sparse
 quadratic lifts with ``expm_multiply``.  :meth:`EnsemblePropagator.evolve_records`
 evolves a whole ensemble in one call, and :func:`apply_evolution` is a
-one-record call into the engine.
+one-record call into the engine with the same checks.
 """
 
 from __future__ import annotations
@@ -175,13 +175,12 @@ def coherent_state(n_modes: int, dim: int, alpha) -> FockDensityMatrix:
 
 @dataclass(frozen=True)
 class EvolutionFactors:
-    """Physical-half parameters of the three-factor evolution at time t.
+    """Physical-half parameters of the three-factor evolution.
 
     r_under/l_under are the normal-ordered linear coefficients; the scalar
     exponent delta' + sigma is everything except the record scalar h."""
 
     n_modes: int
-    t: float
     R_prime: np.ndarray
     R_breve: np.ndarray
     D_under: np.ndarray
@@ -207,7 +206,7 @@ class EvolutionFactors:
                                            integrals.r_prime)
             sigma = reordering_scalar(blocks, integrals.r_prime)
         return cls(
-            n_modes=n, t=blocks.t,
+            n_modes=n,
             R_prime=dis.R_prime[:n, :n], R_breve=dis.R_prime[:n, n:],
             D_under=dis.D_under[:n, :n], D_breve=dis.D_under[:n, n:],
             L_prime=dis.L_prime[:n, :n], L_breve=dis.L_prime[:n, n:],
@@ -424,9 +423,9 @@ class EnsemblePropagator:
     :meth:`evolve_records` evolves a whole ensemble in one pass: one
     normal ordering of the (S, 2N) stack of integrals, one application of
     the factors, and the finiteness, Hermiticity and tail checks over the
-    stack.  :meth:`propagate_vec`, :meth:`evolve` and :meth:`evolve_record`
-    are its one-record calls.  ``blocks`` (the propagator blocks the factors
-    came from) is needed only by the methods that normal-order integrals.
+    stack.  :meth:`propagate_vec` is its unchecked one-record call.
+    ``blocks`` (the propagator blocks the factors came from) is needed only
+    by :meth:`evolve_records`, which normal-orders integrals against them.
     """
 
     def __init__(self, factors: EvolutionFactors, dim: int,
@@ -485,12 +484,11 @@ class EnsemblePropagator:
         with np.errstate(over="ignore", invalid="ignore"):
             return V * np.exp(self.delta_prime + sigma)
 
-    def _checked_states(self, V: np.ndarray,
-                        name_records: bool) -> list[FockDensityMatrix]:
+    def _checked_states(self, V: np.ndarray) -> list[FockDensityMatrix]:
         """The states of a (D^2N, S) stack, after checking each for finite
         entries, Hermiticity and tail population above ``DEFAULT_TAIL_TOL``.
-        The first failing record raises; with ``name_records`` its error
-        message starts with its index."""
+        The first failing record raises an error whose message starts with
+        its index."""
         side = self.dim ** self.n_modes
         R = V.reshape(side, side, -1, order="F").transpose(2, 0, 1)
         finite = np.isfinite(R).all(axis=(1, 2))
@@ -502,15 +500,14 @@ class EnsemblePropagator:
         bad = np.flatnonzero(~finite | skewed | spilled)
         if bad.size:
             i = bad[0]
-            where = f"record {i}: " if name_records else ""
             if not finite[i]:
-                raise MatrixExpFailure(f"{where}evolved state has non-finite "
-                                       "entries")
+                raise MatrixExpFailure(f"record {i}: evolved state has "
+                                       "non-finite entries")
             if skewed[i]:
                 raise NonHermitianResult(
-                    f"{where}Hermiticity deviation {dev[i]:.3e}")
-            raise TruncationOverflow(
-                f"{where}tail population {tail[i]:.3e} > {DEFAULT_TAIL_TOL:.1e}")
+                    f"record {i}: Hermiticity deviation {dev[i]:.3e}")
+            raise TruncationOverflow(f"record {i}: tail population "
+                                     f"{tail[i]:.3e} > {DEFAULT_TAIL_TOL:.1e}")
         return [FockDensityMatrix(n_modes=self.n_modes, dim_per_mode=self.dim,
                                   rho=rho) for rho in R]
 
@@ -530,60 +527,39 @@ class EnsemblePropagator:
                                   np.asarray(r_under)[None],
                                   np.array([sigma]))[:, 0]
 
-    def evolve(self, rho0: FockDensityMatrix, l_under: np.ndarray,
-               r_under: np.ndarray, sigma: complex) -> FockDensityMatrix:
-        """Evolved, unnormalized state of one record, checked for finite
-        entries, for Hermiticity and for tail population above
-        ``DEFAULT_TAIL_TOL``.
-
-        The result carries the record-independent scalar exp(delta' + sigma);
-        multiplying by exp(h) then gives the full linear-evolution state whose
-        trace weights the record probability.
-        """
-        v = self.propagate_vec(self._check_initial(rho0), l_under, r_under,
-                               sigma)
-        return self._checked_states(v[:, None], name_records=False)[0]
-
-    def _normal_ordered(self, l_prime: np.ndarray, r_prime: np.ndarray):
-        """(l_u, r_u, sigma) of one record's (2N,) integrals or of an
-        (S, 2N) stack, normal-ordered against the engine's blocks; l_u and
-        r_u keep their physical half."""
-        if self.blocks is None:
-            raise ValueError("normal ordering needs an engine built from blocks")
-        n = self.n_modes
-        l_u, r_u = normal_order_linear(self.blocks, l_prime, r_prime)
-        return (l_u[..., :n], r_u[..., :n],
-                reordering_scalar(self.blocks, r_prime))
-
-    def evolve_record(self, rho0: FockDensityMatrix,
-                      integrals: TrajectoryIntegrals) -> FockDensityMatrix:
-        """:meth:`evolve` for one record's integrals (l', r'), normal-ordered
-        against the engine's blocks."""
-        return self.evolve(rho0, *self._normal_ordered(integrals.l_prime,
-                                                       integrals.r_prime))
-
     def evolve_records(self, rho0: FockDensityMatrix,
                        integrals_list) -> list[FockDensityMatrix]:
-        """:meth:`evolve_record` for every record of an ensemble in one pass:
-        the integrals are normal-ordered as one (S, 2N) stack and the states
-        evolved and checked as one (D^2N, S) stack.  A failing record raises
-        an error whose message starts with its index."""
+        """Evolved, unnormalized states of an ensemble's records, in one pass:
+        the integrals (l', r') are normal-ordered against the engine's blocks
+        as one (S, 2N) stack, and the states evolved and checked as one
+        (D^2N, S) stack.  Each state carries the record-independent scalar
+        exp(delta' + sigma); multiplying by exp(h) then gives the full
+        linear-evolution state whose trace weights the record probability.
+        A failing record raises an error whose message starts with its
+        index."""
         v0 = self._check_initial(rho0)
         if not integrals_list:
             return []
-        l_u, r_u, sigma = self._normal_ordered(
-            np.array([ints.l_prime for ints in integrals_list]),
-            np.array([ints.r_prime for ints in integrals_list]))
-        return self._checked_states(self._evolve_stack(v0, l_u, r_u, sigma),
-                                    name_records=True)
+        if self.blocks is None:
+            raise ValueError("normal ordering needs an engine built from blocks")
+        n = self.n_modes
+        l_prime = np.array([ints.l_prime for ints in integrals_list])
+        r_prime = np.array([ints.r_prime for ints in integrals_list])
+        l_u, r_u = normal_order_linear(self.blocks, l_prime, r_prime)
+        sigma = reordering_scalar(self.blocks, r_prime)
+        return self._checked_states(
+            self._evolve_stack(v0, l_u[:, :n], r_u[:, :n], sigma))
 
 
 def apply_evolution(rho0: FockDensityMatrix,
                     factors: EvolutionFactors) -> FockDensityMatrix:
     """Evolved, unnormalized state of one record: a one-record call into
-    :class:`EnsemblePropagator` (see :meth:`EnsemblePropagator.evolve`)."""
+    :class:`EnsemblePropagator`, checked as
+    :meth:`EnsemblePropagator.evolve_records` checks each record."""
     engine = EnsemblePropagator(factors, rho0.dim_per_mode)
-    return engine.evolve(rho0, factors.l_under, factors.r_under, factors.sigma)
+    v = engine.propagate_vec(engine._check_initial(rho0), factors.l_under,
+                             factors.r_under, factors.sigma)
+    return engine._checked_states(v[:, None])[0]
 
 
 def normalize_and_trace(state: FockDensityMatrix) -> tuple[FockDensityMatrix, float]:

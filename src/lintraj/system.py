@@ -70,8 +70,6 @@ class SystemSpec:
         Lindblad coefficient matrix, units of sqrt(rate).
     M : (L, 2L) complex ndarray
         Measurement setting, dimensionless.
-    tol : float
-        Validation tolerance.
     """
 
     n_modes: int
@@ -79,7 +77,6 @@ class SystemSpec:
     G: np.ndarray
     C: np.ndarray
     M: np.ndarray
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         # own copies, frozen: the spec is immutable and shareable
@@ -117,7 +114,6 @@ class FockFormSpec:
     F: np.ndarray
     Z: np.ndarray
     M: np.ndarray
-    tol: float = DEFAULT_TOL
 
 
 def validate_spec(spec: SystemSpec) -> SystemSpec:
@@ -125,7 +121,8 @@ def validate_spec(spec: SystemSpec) -> SystemSpec:
 
     Raises
     ------
-    DimensionMismatch, NonSymmetricG, MeasurementSettingInvalid
+    DimensionMismatch, ParameterOutOfRange, NonSymmetricG,
+    MeasurementSettingInvalid
     """
     n, ell = spec.n_modes, spec.n_channels
     if n < 1 or ell < 1:
@@ -136,16 +133,19 @@ def validate_spec(spec: SystemSpec) -> SystemSpec:
         raise DimensionMismatch(f"C must be {ell}x{2 * n}, got {spec.C.shape}")
     if spec.M.shape != (ell, 2 * ell):
         raise DimensionMismatch(f"M must be {ell}x{2 * ell}, got {spec.M.shape}")
+    for name in ("G", "C", "M"):
+        if not np.isfinite(getattr(spec, name)).all():
+            raise ParameterOutOfRange(f"{name} has non-finite entries")
     if not np.array_equal(spec.G, spec.G.T):
         raise NonSymmetricG("G must be exactly symmetric")
     mmd = spec.M @ spec.M.conj().T
     off = mmd - np.diag(np.diag(mmd))
-    if np.max(np.abs(off), initial=0.0) > spec.tol:
+    if np.max(np.abs(off), initial=0.0) > DEFAULT_TOL:
         raise MeasurementSettingInvalid("M M^dag is not diagonal")
     eta = np.real(np.diag(mmd))
-    if np.max(np.abs(np.imag(np.diag(mmd))), initial=0.0) > spec.tol:
+    if np.max(np.abs(np.imag(np.diag(mmd))), initial=0.0) > DEFAULT_TOL:
         raise MeasurementSettingInvalid("M M^dag has complex diagonal entries")
-    if np.any(eta < -spec.tol) or np.any(eta > 1.0 + spec.tol):
+    if np.any(eta < -DEFAULT_TOL) or np.any(eta > 1.0 + DEFAULT_TOL):
         raise MeasurementSettingInvalid(f"efficiencies outside [0, 1]: {eta}")
     return spec
 
@@ -157,21 +157,20 @@ def from_fock_form(ff: FockFormSpec) -> SystemSpec:
     Z = np.asarray(ff.Z, dtype=complex)
     if F.shape != (2 * n, 2 * n):
         raise DimensionMismatch(f"F must be {2 * n}x{2 * n}, got {F.shape}")
-    if np.max(np.abs(F - F.conj().T), initial=0.0) > ff.tol:
+    if np.max(np.abs(F - F.conj().T), initial=0.0) > DEFAULT_TOL:
         raise NonHermitianF("F must be Hermitian")
     X = mode_rotation(n)
     G = X @ F @ X.conj().T
-    if np.max(np.abs(G.imag), initial=0.0) > max(ff.tol, 1e-12) * max(1.0, np.abs(G).max()):
+    if np.max(np.abs(G.imag), initial=0.0) > DEFAULT_TOL * max(1.0, np.abs(G).max()):
         raise NonHermitianF("X F X^dag is not real; F is not a valid Hamiltonian form")
     G = np.real(G)
     G = (G + G.T) / 2.0
     spec = SystemSpec(n_modes=n, n_channels=ff.n_channels, G=G, C=Z @ X.conj().T,
-                      M=ff.M, tol=ff.tol)
+                      M=ff.M)
     return validate_spec(spec)
 
 
-def builtin_homodyne_thermal(gamma: float, K: float, eta: float,
-                             tol: float = DEFAULT_TOL) -> SystemSpec:
+def builtin_homodyne_thermal(gamma: float, K: float, eta: float) -> SystemSpec:
     """Single mode decaying at rate gamma into a thermal bath of occupation K,
     with x-quadrature homodyne detection at efficiency eta.
 
@@ -192,12 +191,11 @@ def builtin_homodyne_thermal(gamma: float, K: float, eta: float,
     M = np.zeros((2, 4), dtype=complex)
     M[0, 0] = np.sqrt(eta)
     return from_fock_form(FockFormSpec(n_modes=1, n_channels=2, F=np.zeros((2, 2)),
-                                       Z=Z, M=M, tol=tol))
+                                       Z=Z, M=M))
 
 
 def builtin_optomech_squeezing(mu: float, eta: float, gamma: float, K_th: float,
-                               chi: float, theta: float = 0.0,
-                               tol: float = DEFAULT_TOL) -> SystemSpec:
+                               chi: float, theta: float = 0.0) -> SystemSpec:
     """Single mechanical mode under continuous position measurement of strength mu
     (efficiency eta), a thermal bath (gamma, K_th), and parametric squeezing of
     strength chi along the quadrature angle theta.
@@ -228,13 +226,34 @@ def builtin_optomech_squeezing(mu: float, eta: float, gamma: float, K_th: float,
         M[0, 0], M[0, 1] = r * c2, r * s2
         M[1, 0], M[1, 1] = -r * s2, r * c2
     G = -(chi / 2.0) * np.array([[0.0, 1.0], [1.0, 0.0]])
-    return validate_spec(SystemSpec(n_modes=1, n_channels=3, G=G, C=C, M=M, tol=tol))
+    return validate_spec(SystemSpec(n_modes=1, n_channels=3, G=G, C=C, M=M))
 
 
 _BUILTINS = {
     "homodyne_thermal": builtin_homodyne_thermal,
     "optomech_squeezing": builtin_optomech_squeezing,
 }
+
+
+def _config_count(cfg: dict, key: str) -> int:
+    """An integer entry of an explicit-matrix config; ConfigError otherwise."""
+    value = cfg[key]
+    # bool is an int subclass, but true/false is no count
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _config_matrix(value, key: str) -> np.ndarray:
+    """The list of finite real numbers under ``key`` of an explicit-matrix
+    config, as a float array; ConfigError otherwise."""
+    value = np.asarray(value)
+    if value.dtype.kind not in "iuf":
+        raise ConfigError(f"{key} must be a list of real numbers")
+    value = value.astype(float)
+    if not np.isfinite(value).all():
+        raise ConfigError(f"{key} has non-finite entries")
+    return value
 
 
 def spec_from_config(cfg: dict) -> SystemSpec:
@@ -269,19 +288,18 @@ def spec_from_config(cfg: dict) -> SystemSpec:
                                   f"a finite real number, got {value!r}")
         return fn(**params)
     try:
-        n = int(cfg["n_modes"])
-        ell = int(cfg["n_channels"])
-        G = np.array(cfg["G"], dtype=float).reshape(2 * n, 2 * n)
-        C = (np.array(cfg["C_re"], dtype=float)
-             + 1j * np.array(cfg.get("C_im", np.zeros_like(cfg["C_re"])), dtype=float)
+        n = _config_count(cfg, "n_modes")
+        ell = _config_count(cfg, "n_channels")
+        G = _config_matrix(cfg["G"], "G").reshape(2 * n, 2 * n)
+        C = (_config_matrix(cfg["C_re"], "C_re")
+             + 1j * _config_matrix(cfg.get("C_im", 0.0), "C_im")
              ).reshape(ell, 2 * n)
-        M = (np.array(cfg["M_re"], dtype=float)
-             + 1j * np.array(cfg.get("M_im", np.zeros_like(cfg["M_re"])), dtype=float)
+        M = (_config_matrix(cfg["M_re"], "M_re")
+             + 1j * _config_matrix(cfg.get("M_im", 0.0), "M_im")
              ).reshape(ell, 2 * ell)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad system config: {exc}") from exc
-    return validate_spec(SystemSpec(n_modes=n, n_channels=ell, G=G, C=C, M=M,
-                                    tol=float(cfg.get("tol", DEFAULT_TOL))))
+    return validate_spec(SystemSpec(n_modes=n, n_channels=ell, G=G, C=C, M=M))
 
 
 def spec_to_config(spec: SystemSpec) -> dict:
@@ -294,5 +312,4 @@ def spec_to_config(spec: SystemSpec) -> dict:
         "C_im": spec.C.imag.ravel().tolist(),
         "M_re": spec.M.real.ravel().tolist(),
         "M_im": spec.M.imag.ravel().tolist(),
-        "tol": spec.tol,
     }

@@ -22,12 +22,10 @@ from lintraj.lie_rep import (
     propagator_blocks,
     reordering_scalar,
     rep_of_generator,
-    rep_of_qform,
 )
 from lintraj.oracle_sme import _check_tail, _lindblad_rhs, build_operators
 from lintraj.parameterization import (
     QuadraticForm,
-    QuadraticGenerator,
     compute_generator,
     half_swap,
     quadrature_expansion,
@@ -77,8 +75,8 @@ def random_generator(n, rng, scale=1.0, real=False):
     R = np.block([[Rs, Rb], [Rb, Rs.conj()]]) * scale
     L = np.block([[Ls, Lb], [Lb, Ls.conj()]]) * scale
     D = np.block([[Dm, Db], [Db.conj(), Dm.conj()]]) * scale
-    return QuadraticGenerator(n_modes=n, R=R, D=D, L=L,
-                              scalar=complex(rng.normal() * scale))
+    return QuadraticForm(n=n, const=complex(rng.normal() * scale), R=R, D=D,
+                         L=L)
 
 
 def homodyne_golden_blocks(gamma, K, eta, t):
@@ -339,9 +337,9 @@ def d_prime(dis):
 
 
 def generator_blocks(gen):
-    """Physical-half blocks of a ``QuadraticGenerator``: for X in (R, D, L),
-    X = [[x, xb], [.., ..]]."""
-    n = gen.n_modes
+    """Physical-half blocks of a generator ``QuadraticForm``: for X in
+    (R, D, L), X = [[x, xb], [.., ..]]."""
+    n = gen.n
     return {
         "R": gen.R[:n, :n], "R_breve": gen.R[:n, n:],
         "D": gen.D[:n, :n], "D_breve": gen.D[:n, n:],
@@ -353,17 +351,17 @@ def rep_linear_factor(n_modes, l_row=None, r_col=None):
     """Exact image of exp(b^dag r + l b): the image of the exponent is
     nilpotent of index 2, so this is identity plus the exponent image."""
     qf = QuadraticForm(n=n_modes, lin_l=l_row, lin_r=r_col)
-    return np.eye(4 * n_modes + 2, dtype=complex) + rep_of_qform(qf).matrix
+    return np.eye(4 * n_modes + 2, dtype=complex) + rep_of_generator(qf).matrix
 
 
 def reconstruct_from_factors(dis):
     """Image of the three-factor product of a ``DisentangledQuadratic``;
     equals the propagator image when the disentanglement is consistent."""
     n = dis.n_modes
-    f_r = expm(rep_of_qform(QuadraticForm(n=n, R=dis.R_prime)).matrix)
-    f_d = expm(rep_of_qform(QuadraticForm(n=n, D=dis.D_under,
+    f_r = expm(rep_of_generator(QuadraticForm(n=n, R=dis.R_prime)).matrix)
+    f_d = expm(rep_of_generator(QuadraticForm(n=n, D=dis.D_under,
                                           const=dis.delta_prime)).matrix)
-    f_l = expm(rep_of_qform(QuadraticForm(n=n, L=dis.L_prime)).matrix)
+    f_l = expm(rep_of_generator(QuadraticForm(n=n, L=dis.L_prime)).matrix)
     return f_r @ f_d @ f_l
 
 
@@ -515,8 +513,7 @@ def to_fock_form(spec):
     """Inverse of ``from_fock_form`` (X is unitary)."""
     X = mode_rotation(spec.n_modes)
     return FockFormSpec(n_modes=spec.n_modes, n_channels=spec.n_channels,
-                        F=X.conj().T @ spec.G @ X, Z=spec.C @ X, M=spec.M,
-                        tol=spec.tol)
+                        F=X.conj().T @ spec.G @ X, Z=spec.C @ X, M=spec.M)
 
 
 def apply_evolution_power_series(rho0, factors):

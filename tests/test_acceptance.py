@@ -21,7 +21,6 @@ from lintraj.lie_rep import (
     povm_blocks,
     propagator_blocks,
     rep_of_generator,
-    rep_of_qform,
 )
 from lintraj.oracle_sme import integrate_linear_sme, integrate_me
 from lintraj.parameterization import (
@@ -83,8 +82,8 @@ def test_criterion_01_representation_faithfulness():
         b = QuadraticForm(n=n, const=complex(rng.integers(-3, 4)),
                           lin_l=arr(m), lin_r=arr(m), R=arr(m, m),
                           D=arr(m, m), L=arr(m, m)).symmetrized()
-        lhs = rep_of_qform(commutator(a, b)).matrix
-        ra, rb = rep_of_qform(a).matrix, rep_of_qform(b).matrix
+        lhs = rep_of_generator(commutator(a, b)).matrix
+        ra, rb = rep_of_generator(a).matrix, rep_of_generator(b).matrix
         worst = max(worst, float(np.abs(lhs - (ra @ rb - rb @ ra)).max()))
     elapsed = time.time() - t0
     assert worst == 0.0
@@ -132,7 +131,7 @@ def test_criterion_03_homodyne_golden_forms():
         for K in np.linspace(0.0, 2.7, 10):
             for eta in np.linspace(0.05, 1.0, 10):
                 spec = builtin_homodyne_thermal(gamma, K, eta)
-                rep = rep_of_generator(compute_generator(spec, check=False))
+                rep = rep_of_generator(compute_generator(spec))
                 bl = propagator_blocks(rep, t)
                 golden = homodyne_golden_blocks(gamma, K, eta, t)
                 got = np.array([bl.N11[0, 0], bl.N11[0, 1], bl.N1m1[0, 0],
@@ -308,7 +307,7 @@ def test_criterion_07_adjoint_crosscheck():
         worst_vxx = max(worst_vxx, abs(moments.V[0, 0] - vxx_want))
         q_var = effect.quadrature_covariance()[0, 0]
         worst_var = max(worst_var, abs(q_var - moments.V[0, 0] - 0.5))
-        crosscheck_against_povm(effect, moments, tol=1e-8)
+        crosscheck_against_povm(effect, moments)
     assert worst_mean < 1e-8
     assert worst_vxx < 1e-8
     assert worst_var < 1e-8

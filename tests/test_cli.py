@@ -173,6 +173,24 @@ def test_compare_command(homodyne_config, tmp_path, capsys):
     assert payload["relative_trace_error"] < 5e-2
 
 
+def test_compare_builds_no_effect(homodyne_config, tmp_path, monkeypatch):
+    # compare reads only the record's integrals: a failing effect route
+    # neither fails it nor changes what it writes
+    import lintraj.cli
+
+    argv = ["compare", "--config", homodyne_config, "--seed", "4",
+            "--dt", "1e-3", "--t-final", "0.1", "--fock-dim", "10", "--out"]
+    want, got = tmp_path / "want.json", tmp_path / "got.json"
+    assert main(argv + [str(want)]) == 0
+
+    def broken(*args, **kwargs):
+        raise AssertionError("compare built a POVM effect")
+
+    monkeypatch.setattr(lintraj.cli, "effect_from_blocks", broken)
+    assert main(argv + [str(got)]) == 0
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_initial_state_from_file(homodyne_config, tmp_path):
     run = str(tmp_path / "seed_run")
     assert main(["simulate", "--config", homodyne_config, "--seed", "2",
@@ -284,6 +302,19 @@ def test_simulate_rejects_bad_initial_state(homodyne_config, tmp_path, capsys,
     assert not (tmp_path / "run").exists()
 
 
+_EXPLICIT = ('{{"n_modes": {n_modes}, "n_channels": 1, "G": {G}, '
+             '"C_re": {C_re}, "C_im": [0.0, 0.707], "M_re": {M_re}, '
+             '"M_im": [0.0, 0.0]}}')
+
+
+def _explicit(**fields) -> str:
+    """An explicit-matrix config as JSON text, with some fields replaced by
+    literal JSON (which may hold NaN or an overflowing 1e400)."""
+    base = {"n_modes": "1", "G": "[0, 0, 0, 0]", "C_re": "[0.707, 0.0]",
+            "M_re": "[0.894, 0.0]"}
+    return _EXPLICIT.format(**{**base, **fields})
+
+
 BAD_CONFIGS = {
     "invalid JSON": '{"builtin": ',
     "not an object": "[1, 2]",
@@ -297,6 +328,17 @@ BAD_CONFIGS = {
         "name": "homodyne_thermal",
         "params": {"gamma": "abc", "K": 0.2, "eta": 0.8}}}),
     "builtin not an object": json.dumps({"builtin": "homodyne_thermal"}),
+    "NaN in G": _explicit(G="[NaN, 0, 0, 0]"),
+    "1e400 in G": _explicit(G="[0, 1e400, 1e400, 0]"),
+    "NaN in C_re": _explicit(C_re="[NaN, 0.0]"),
+    "1e400 in C_re": _explicit(C_re="[1e400, 0.0]"),
+    "NaN in M_re": _explicit(M_re="[NaN, 0.0]"),
+    "1e400 in M_re": _explicit(M_re="[1e400, 0.0]"),
+    "fractional n_modes": _explicit(n_modes="1.5"),
+    "string n_modes": _explicit(n_modes='"1"'),
+    "boolean n_modes": _explicit(n_modes="true"),
+    "list n_modes": _explicit(n_modes="[1]"),
+    "object C_re": _explicit(C_re='{"a": 1}'),
 }
 
 

@@ -20,11 +20,9 @@ from lintraj.lie_rep import (
     propagator_powers,
     reordering_scalar,
     rep_of_generator,
-    rep_of_qform,
 )
 from lintraj.parameterization import (
     QuadraticForm,
-    QuadraticGenerator,
     compute_generator,
 )
 from lintraj.system import builtin_homodyne_thermal, builtin_optomech_squeezing
@@ -47,16 +45,14 @@ from conftest import (
 
 
 def test_rep_of_zero_generator_is_zero():
-    gen = QuadraticGenerator(n_modes=1, R=np.zeros((2, 2)), D=np.zeros((2, 2)),
-                             L=np.zeros((2, 2)), scalar=0.0)
+    gen = QuadraticForm(n=1)
     assert np.abs(rep_of_generator(gen).matrix).max() == 0.0
 
 
 def test_rep_single_creation_squared_has_two_entries():
     R = np.zeros((2, 2), dtype=complex)
     R[0, 0] = 0.7
-    gen = QuadraticGenerator(n_modes=1, R=R, D=np.zeros((2, 2)),
-                             L=np.zeros((2, 2)), scalar=0.0)
+    gen = QuadraticForm(n=1, R=R)
     T = rep_of_generator(gen).matrix
     nz = np.argwhere(np.abs(T) > 0)
     assert len(nz) == 1 and tuple(nz[0]) == (1, 4) and abs(T[1, 4] - 1.4) < 1e-15
@@ -89,8 +85,8 @@ def test_commutator_faithfulness_is_exact(rng):
         b = QuadraticForm(n=n, const=complex(rng.integers(-3, 4)), lin_l=arr(m),
                           lin_r=arr(m), R=arr(m, m), D=arr(m, m),
                           L=arr(m, m)).symmetrized()
-        lhs = rep_of_qform(commutator(a, b)).matrix
-        ra, rb = rep_of_qform(a).matrix, rep_of_qform(b).matrix
+        lhs = rep_of_generator(commutator(a, b)).matrix
+        ra, rb = rep_of_generator(a).matrix, rep_of_generator(b).matrix
         assert np.abs(lhs - (ra @ rb - rb @ ra)).max() == 0.0
 
 

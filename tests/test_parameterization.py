@@ -51,8 +51,7 @@ def test_homodyne_generator_closed_forms_random_sweep(rng):
         gamma = rng.uniform(0.1, 3.0)
         K = rng.uniform(0.0, 3.0)
         eta = rng.uniform(0.0, 1.0)
-        gen = compute_generator(builtin_homodyne_thermal(gamma, K, eta),
-                                check=False)
+        gen = compute_generator(builtin_homodyne_thermal(gamma, K, eta))
         ref = homodyne_reference_blocks(gamma, K, eta)
         blocks = generator_blocks(gen)
         for name, want in ref.items():
@@ -87,7 +86,14 @@ def test_pure_hamiltonian_generator_is_number_like():
     assert abs(gen.D[0, 0] + 1j * omega) < 1e-14
     assert abs(gen.D[0, 1]) < 1e-14
     assert abs(gen.D[1, 1] - 1j * omega) < 1e-14
-    assert abs(gen.scalar) < 1e-14
+    assert abs(gen.const) < 1e-14
+
+
+def test_generator_has_no_linear_part(rng):
+    # no term of the deterministic generator is linear in the modes
+    for n, ell in [(1, 1), (1, 3), (2, 2), (2, 3)]:
+        gen = compute_generator(random_spec(n, ell, rng))
+        assert not np.any(gen.lin_l) and not np.any(gen.lin_r)
 
 
 def test_homodyne_noise_couplings():

@@ -286,21 +286,21 @@ def test_single_mode_engine_exponentiates_only_small_matrices(monkeypatch):
     _, _, table, ints, factors = _homodyne_factors(1.0, 0.3, 0.7, 1e-3, 0.3,
                                                    seed=4)
     engine = EnsemblePropagator.from_blocks(table.final_blocks(), dim)
-    engine.evolve_record(coherent_state(1, dim, 0.4), ints)
+    engine.evolve_records(coherent_state(1, dim, 0.4), [ints])
     apply_evolution(coherent_state(1, dim, 0.4), factors)
     assert sizes and max(sizes) <= dim
 
 
-def test_evolve_record_matches_apply_evolution():
+def test_evolve_records_match_apply_evolution():
     _, _, table, ints, factors = _homodyne_factors(1.0, 0.3, 0.7, 1e-3, 0.4,
                                                    seed=6)
     rho0 = coherent_state(1, 14, 0.5)
     engine = EnsemblePropagator.from_blocks(table.final_blocks(), 14)
-    got = engine.evolve_record(rho0, ints)
+    [got] = engine.evolve_records(rho0, [ints])
     want = apply_evolution(rho0, factors)
     assert np.abs(got.rho - want.rho).max() < 1e-13
     with pytest.raises(DimensionMismatch):
-        engine.evolve_record(coherent_state(1, 12, 0.5), ints)
+        engine.evolve_records(coherent_state(1, 12, 0.5), [ints])
 
 
 def test_shared_engine_is_thread_safe():
@@ -317,14 +317,16 @@ def test_shared_engine_is_thread_safe():
     rho0 = coherent_state(1, 14, 0.4)
     records = [accumulate_integrals(table, nc, sample_ostensible_record(
         spec, 1e-3, 0.2, seed=k)) for k in range(12)]
-    serial = [engine.evolve_record(rho0, ints).rho for ints in records]
+    def evolve(ints):
+        return engine.evolve_records(rho0, [ints])[0].rho
+
+    serial = [evolve(ints) for ints in records]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=6) as pool:
-            futures = [pool.submit(engine.evolve_record, rho0, ints)
-                       for ints in records]
-            threaded = [f.result(timeout=60).rho for f in futures]
+            futures = [pool.submit(evolve, ints) for ints in records]
+            threaded = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
     for a, b in zip(serial, threaded):
@@ -367,11 +369,9 @@ def test_non_finite_state_is_named():
     # tail checks, which NaN passes
     factors = replace(random_single_mode_factors(np.random.default_rng(7)),
                       sigma=complex(800.0, 0.0))
-    engine = EnsemblePropagator(factors, 8)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(MatrixExpFailure):
-            engine.evolve(vacuum_state(1, 8), factors.l_under, factors.r_under,
-                          factors.sigma)
+        with pytest.raises(MatrixExpFailure, match=r"^record 0: "):
+            apply_evolution(vacuum_state(1, 8), factors)
 
 
 # A cool homodyne mode (K = 0.02): all three quadratic species, sandwiches
@@ -445,8 +445,8 @@ def test_batched_records_equal_single_records(dim, seeds):
     rho0 = coherent_state(1, dim, 0.2 - 0.1j)
     batched = engine.evolve_records(rho0, records)
     for state, ints in zip(batched, records):
-        assert _relative_gap(state.rho,
-                             engine.evolve_record(rho0, ints).rho) <= 1e-13
+        [single] = engine.evolve_records(rho0, [ints])
+        assert _relative_gap(state.rho, single.rho) <= 1e-13
 
 
 @pytest.mark.parametrize("n_modes", [1, 2])

@@ -61,6 +61,17 @@ def test_nonsymmetric_g_rejected():
         validate_spec(SystemSpec(n_modes=1, n_channels=1, G=G, C=C, M=M))
 
 
+@pytest.mark.parametrize("name", ["G", "C", "M"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrices_rejected(name, bad):
+    mats = {"G": np.zeros((2, 2)), "C": np.array([[1.0, 1.0j]]),
+            "M": np.array([[0.5, 0.0]])}
+    mats[name] = mats[name].astype(complex if name != "G" else float)
+    mats[name][0, 0] = bad
+    with pytest.raises(ParameterOutOfRange, match=f"^{name} "):
+        validate_spec(SystemSpec(n_modes=1, n_channels=1, **mats))
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionMismatch):
         validate_spec(SystemSpec(n_modes=1, n_channels=1, G=np.zeros((4, 4)),
