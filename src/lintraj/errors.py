@@ -22,11 +22,13 @@ class MeasurementSettingInvalid(LintrajError):
 
 
 class ParameterOutOfRange(LintrajError):
-    """A built-in model parameter is outside its physical range."""
+    """A model parameter is outside its physical range, or too large for
+    the generator built from it to be finite."""
 
 
 class MatrixExpFailure(LintrajError):
-    """Matrix exponential produced non-finite entries."""
+    """A matrix exponential or another numerical result (an evolved state,
+    an effect's mean or log-normalization) has non-finite entries."""
 
 
 class SingularBlock(LintrajError):

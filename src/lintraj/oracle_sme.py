@@ -21,39 +21,26 @@ TAIL_TOL = 1e-6
 
 
 def build_operators(spec: SystemSpec, dim: int):
-    """(H, lindblad list, measurement-operator list) on the truncation.
+    """(H, lindblad list, measurement-operator dict) on the truncation.
 
-    Measurement operator k is the k-th component of M^dag c; only monitored
-    components are materialized.
+    With the 2N quadratures stacked as one (2N, d, d) array X,
+    H = (1/2) sum_mp G_mp X_m X_p, c_k = sum_m C_km X_m, and measurement
+    operator k is the k-th component of M^dag c; only monitored components
+    are materialized.
     """
     n = spec.n_modes
-    a_ops = [op.toarray() for op in _mode_lowering(n, dim)]
-    d = dim ** n
-    x_ops = []
-    for i in range(n):
-        x_ops.append((a_ops[i] + a_ops[i].conj().T) / np.sqrt(2.0))
-        x_ops.append(1j * (a_ops[i].conj().T - a_ops[i]) / np.sqrt(2.0))
-    H = np.zeros((d, d), dtype=complex)
-    for m in range(2 * n):
-        for p in range(2 * n):
-            if spec.G[m, p] != 0:
-                H += 0.5 * spec.G[m, p] * (x_ops[m] @ x_ops[p])
-    c_ops = []
-    for k in range(spec.n_channels):
-        ck = np.zeros((d, d), dtype=complex)
-        for m in range(2 * n):
-            if spec.C[k, m] != 0:
-                ck += spec.C[k, m] * x_ops[m]
-        c_ops.append(ck)
-    mdc = spec.M.conj().T  # (2L, L)
-    meas_ops = {}
-    for k in np.flatnonzero(spec.monitored):
-        vk = np.zeros((d, d), dtype=complex)
-        for j in range(spec.n_channels):
-            if mdc[k, j] != 0:
-                vk += mdc[k, j] * c_ops[j]
-        meas_ops[int(k)] = vk
-    return H, c_ops, meas_ops
+    a = np.array([op.toarray() for op in _mode_lowering(n, dim)])
+    ad = a.conj().transpose(0, 2, 1)
+    x = (np.stack([a + ad, 1j * (ad - a)], axis=1) / np.sqrt(2.0)).reshape(
+        2 * n, *a.shape[1:])
+    # sum_m X_m (G X)_m as one product of the side-by-side X_m with the
+    # stacked (G X)_m
+    H = 0.5 * (np.concatenate(x, axis=1)
+               @ np.concatenate(np.tensordot(spec.G, x, axes=1), axis=0))
+    c = np.tensordot(spec.C, x, axes=1)
+    monitored = np.flatnonzero(spec.monitored)
+    meas = np.tensordot(spec.M.conj().T[monitored], c, axes=1)
+    return H, list(c), dict(zip(monitored.tolist(), meas))
 
 
 def _lindblad_rhs(H, c_ops, cdc_list, rho):

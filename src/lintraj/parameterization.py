@@ -10,8 +10,12 @@ and the stochastic part is linear, ``dL(t) = b^dag dr + dl b`` with
 ``dl = y^T dt W_l`` and ``dr^T = y^T dt W_r``.  This module computes
 ``(R, D, L, q0)`` and ``(W_l, W_r)`` from a :class:`~lintraj.system.SystemSpec`.
 
-Everything here is exact normal-ordered operator algebra on coefficient
-arrays; no truncation is involved.
+Every generator term is a product of two operators linear in ``b``, so each
+of its six families (the commutator with H, from the left and from the
+partner side; the three dissipator terms; the measurement back-action) is
+one normal-ordered bilinear contraction of the spec's coefficient matrices.
+This is exact operator algebra on coefficient arrays; no truncation is
+involved.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ParameterOutOfRange
 from .system import SystemSpec
 
 BLOCK_TOL = 1e-10
@@ -83,18 +88,6 @@ class QuadraticForm:
             L=(self.L + self.L.T) / 2.0,
         )
 
-    def __add__(self, other: "QuadraticForm") -> "QuadraticForm":
-        return QuadraticForm(
-            n=self.n, const=self.const + other.const,
-            lin_l=self.lin_l + other.lin_l, lin_r=self.lin_r + other.lin_r,
-            R=self.R + other.R, D=self.D + other.D, L=self.L + other.L,
-        )
-
-    def scaled(self, z: complex) -> "QuadraticForm":
-        return QuadraticForm(n=self.n, const=z * self.const, lin_l=z * self.lin_l,
-                             lin_r=z * self.lin_r, R=z * self.R, D=z * self.D,
-                             L=z * self.L)
-
     def check_block_structure(self) -> None:
         """Conjugation-pairing structure required for Hermiticity preservation.
 
@@ -115,26 +108,10 @@ class QuadraticForm:
         a, b = self.D[:n, :n], self.D[:n, n:]
         c, d = self.D[n:, :n], self.D[n:, n:]
         resid += [np.abs(d - a.conj()).max(), np.abs(c - b.conj()).max()]
-        worst = max(float(r) for r in resid)
+        worst = float(np.max(resid))
         scale = max(1.0, *(float(np.abs(x).max()) for x in (self.R, self.D, self.L)))
-        if worst > BLOCK_TOL * scale:
+        if not worst <= BLOCK_TOL * scale:      # a NaN residual fails too
             raise ValueError(f"generator violates block pairing: residual {worst:.3e}")
-
-
-def product_of_linear(n: int, f1: np.ndarray, g1: np.ndarray,
-                      f2: np.ndarray, g2: np.ndarray) -> QuadraticForm:
-    """Normal-order the product (f1 b + g1 b^dag)(f2 b + g2 b^dag).
-
-    The lowering-raising cross term contributes the commutator scalar
-    ``f1 . g2``.
-    """
-    return QuadraticForm(
-        n=n,
-        const=f1 @ g2,
-        R=np.outer(g1, g2),
-        D=np.outer(g1, f2) + np.outer(g2, f1),
-        L=np.outer(f1, f2),
-    )
 
 
 @dataclass(frozen=True)
@@ -146,69 +123,51 @@ class NoiseCouplings:
     W_r: np.ndarray
 
 
-def _x_linear_forms(spec: SystemSpec):
-    """(f, g) coefficient rows for each quadrature x_m and its partner copy."""
-    u = quadrature_expansion(spec.n_modes)
-    swap = half_swap(spec.n_modes)
-    x_forms = [(u[m, :], u[m, :].conj()) for m in range(2 * spec.n_modes)]
-    xt_forms = [(u[m, :].conj() @ swap, u[m, :] @ swap) for m in range(2 * spec.n_modes)]
-    return x_forms, xt_forms
-
-
-def generator_forms(spec: SystemSpec) -> QuadraticForm:
-    """Assemble the full deterministic generator as a normal-ordered form.
-
-    Terms: the Hamiltonian commutator piece, the dissipators, and the
-    deterministic measurement back-action (minus half the squared sum of the
-    monitored coupling operators and their partner copies).
-    """
-    n = spec.n_modes
-    u = quadrature_expansion(n)
-    swap = half_swap(n)
-    total = QuadraticForm(n=n)
-
-    # Hamiltonian: -i H + i H~ with H = x^T G x / 2.
-    x_forms, xt_forms = _x_linear_forms(spec)
-    for m in range(2 * n):
-        for p in range(2 * n):
-            gmp = spec.G[m, p]
-            if gmp == 0.0:
-                continue
-            fm, gm = x_forms[m]
-            fp, gp = x_forms[p]
-            total = total + product_of_linear(n, fm, gm, fp, gp).scaled(-0.5j * gmp)
-            fm, gm = xt_forms[m]
-            fp, gp = xt_forms[p]
-            total = total + product_of_linear(n, fm, gm, fp, gp).scaled(+0.5j * gmp)
-
-    # Dissipators: sum_k [ c~_k c_k - c_k^dag c_k / 2 - (c_k^dag c_k)~ / 2 ].
-    cu = spec.C @ u            # c_k = cu[k] . b + cv[k] . b^dag
-    cv = spec.C @ u.conj()
-    for k in range(spec.n_channels):
-        f_c, g_c = cu[k], cv[k]
-        f_cd, g_cd = cv[k].conj(), cu[k].conj()
-        f_ct, g_ct = (cu[k].conj() @ swap), (cv[k].conj() @ swap)
-        f_cdt, g_cdt = (cv[k] @ swap), (cu[k] @ swap)
-        total = total + product_of_linear(n, f_ct, g_ct, f_c, g_c)
-        total = total + product_of_linear(n, f_cd, g_cd, f_c, g_c).scaled(-0.5)
-        total = total + product_of_linear(n, f_cdt, g_cdt, f_ct, g_ct).scaled(-0.5)
-
-    # Measurement back-action: -(1/2) sum_k S_k S_k with S_k the k-th row pair.
-    couplings = compute_noise_couplings(spec)
-    for k in range(2 * spec.n_channels):
-        f_s, g_s = couplings.W_l[k], couplings.W_r[k]
-        if not (np.any(f_s) or np.any(g_s)):
-            continue
-        total = total + product_of_linear(n, f_s, g_s, f_s, g_s).scaled(-0.5)
-
-    return total.symmetrized()
+def _bilinear(c, f1, g1, f2, g2):
+    """Normal-ordered (const, R, D, L) of sum_mp c[m, p] (f1[m] b + g1[m] b^dag)
+    (f2[p] b + g2[p] b^dag): each product orders to g1 g2 b^dag b^dag
+    + (g1 f2 + g2 f1) b^dag b + f1 f2 b b plus the commutator scalar f1 . g2."""
+    fc, gc = f1.T @ c, g1.T @ c
+    fcg = fc @ g2           # its trace is const, its transpose half of D
+    return np.trace(fcg), gc @ g2, gc @ f2 + fcg.T, fc @ f2
 
 
 def compute_generator(spec: SystemSpec) -> QuadraticForm:
-    """The deterministic generator (R, D, L) with its scalar q0 as ``const``,
-    for a validated spec, by normal-ordered operator algebra
-    (:func:`generator_forms`); its block pairing is checked."""
-    gen = generator_forms(spec)
+    """The deterministic generator (R, D, L) with its scalar q0 as ``const``.
+
+    The sum of six bilinear families, each one :func:`_bilinear` contraction
+    of (f, g) rows with f b + g b^dag the linear operator of a row:
+
+    * -i H and +i H~, H = x^T G x / 2: c = -iG/2 over the quadratures x_m,
+      c = +iG/2 over their partner copies x~_m;
+    * the dissipators, c = I over the channels c_k = (C x)_k, once for each
+      of c~_k c_k, -(1/2) c_k^dag c_k and -(1/2) (c_k^dag c_k)~;
+    * the measurement back-action, c = -I/2 over the rows of (W_l, W_r).
+
+    R and L are symmetrized and the block pairing is checked.
+    ParameterOutOfRange if the assembled generator is not finite (rates
+    too large for float64).
+    """
+    n = spec.n_modes
+    with np.errstate(all="ignore"):     # overflow is raised below
+        u, swap = quadrature_expansion(n), half_swap(n)
+        x, xt = (u, u.conj()), (u.conj() @ swap, u @ swap)
+        cu, cv = spec.C @ u, spec.C @ u.conj()
+        c, cd = (cu, cv), (cv.conj(), cu.conj())
+        ct, cdt = (cu.conj() @ swap, cv.conj() @ swap), (cv @ swap, cu @ swap)
+        nc = compute_noise_couplings(spec)
+        s = (nc.W_l, nc.W_r)
+        eye = np.eye(spec.n_channels)
+        families = ((-0.5j * spec.G, x, x), (0.5j * spec.G, xt, xt), (eye, ct, c),
+                    (-0.5 * eye, cd, c), (-0.5 * eye, cdt, ct),
+                    (-0.5 * np.eye(2 * spec.n_channels), s, s))
+        const, R, D, L = (sum(parts) for parts in zip(
+            *(_bilinear(k, *f1, *f2) for k, f1, f2 in families)))
+        finite = all(np.all(np.isfinite(a)) for a in (const, R, D, L))
+    if not finite:
+        raise ParameterOutOfRange("generator has non-finite entries: the "
+                                  "spec's rates overflow float64")
+    gen = QuadraticForm(n=n, const=complex(const), R=R, D=D, L=L).symmetrized()
     gen.check_block_structure()
     return gen
 

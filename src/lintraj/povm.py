@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularInformationMatrix
+from .errors import DimensionMismatch, MatrixExpFailure, SingularInformationMatrix
 from .trajectory import MeasurementRecord
 
 INFO_TOL = 1e-12
@@ -89,7 +89,8 @@ class GaussianEffect:
 
 def effect_from_blocks(lpp_full: np.ndarray, d: np.ndarray) -> GaussianEffect:
     """Build the effect from the 2N x 2N quadratic-parameter matrix of
-    :func:`lintraj.lie_rep.povm_blocks` and d."""
+    :func:`lintraj.lie_rep.povm_blocks` and d.  MatrixExpFailure if its mean
+    or log-normalization leaves the floats (a record too large for them)."""
     lpp_full = np.asarray(lpp_full, dtype=complex)
     n = lpp_full.shape[0] // 2
     lpp = lpp_full[:n, :n]
@@ -110,12 +111,16 @@ def effect_from_blocks(lpp_full: np.ndarray, d: np.ndarray) -> GaussianEffect:
         raise SingularInformationMatrix(
             "d has support along directions with no measurement information")
     if keep.any():
-        vec = Uk @ ((Uk.T @ xi) / (-wk))
-        alpha_mean = vec[:n] + 1j * vec[n:]
-        # p(d | alpha): Gaussian with inverse covariance -2/w on the range
-        omega_xi = Uk @ ((Uk.T @ xi) * (-2.0 / wk))
-        log_z = 0.5 * len(wk) * np.log(2 * np.pi) + 0.5 * np.log(-wk / 2).sum()
-        log_norm = float(-0.5 * xi @ omega_xi - log_z)
+        with np.errstate(all="ignore"):     # non-finite results raise below
+            vec = Uk @ ((Uk.T @ xi) / (-wk))
+            alpha_mean = vec[:n] + 1j * vec[n:]
+            # p(d | alpha): Gaussian with inverse covariance -2/w on the range
+            omega_xi = Uk @ ((Uk.T @ xi) * (-2.0 / wk))
+            log_z = 0.5 * len(wk) * np.log(2 * np.pi) + 0.5 * np.log(-wk / 2).sum()
+            log_norm = float(-0.5 * xi @ omega_xi - log_z)
+        if not (np.all(np.isfinite(alpha_mean)) and np.isfinite(log_norm)):
+            raise MatrixExpFailure(f"effect mean or log-normalization is not "
+                                   f"finite (log_norm {log_norm})")
         is_flat = False
     else:
         alpha_mean = np.zeros(n, dtype=complex)

@@ -545,10 +545,13 @@ class EnsemblePropagator:
         n = self.n_modes
         l_prime = np.array([ints.l_prime for ints in integrals_list])
         r_prime = np.array([ints.r_prime for ints in integrals_list])
-        l_u, r_u = normal_order_linear(self.blocks, l_prime, r_prime)
-        sigma = reordering_scalar(self.blocks, r_prime)
-        return self._checked_states(
-            self._evolve_stack(v0, l_u[:, :n], r_u[:, :n], sigma))
+        # integrals too large for the floats overflow silently here; the
+        # check names the record whose state is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            l_u, r_u = normal_order_linear(self.blocks, l_prime, r_prime)
+            sigma = reordering_scalar(self.blocks, r_prime)
+            V = self._evolve_stack(v0, l_u[:, :n], r_u[:, :n], sigma)
+        return self._checked_states(V)
 
 
 def apply_evolution(rho0: FockDensityMatrix,

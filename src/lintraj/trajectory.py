@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, MatrixExpFailure
+from .errors import ConfigError, CrossCheckFailure, DimensionMismatch, MatrixExpFailure
 from .lie_rep import PropagatorBlocks, RepMatrix, flip, propagator_powers
 from .parameterization import NoiseCouplings
 from .system import SystemSpec
@@ -35,8 +35,11 @@ class MeasurementRecord:
     """Sampled currents: y has shape (steps, 2L); y * dt is O(sqrt(dt))."""
 
     dt: float
-    steps: int
     y: np.ndarray
+
+    @property
+    def steps(self) -> int:
+        return len(self.y)
 
     @property
     def t_final(self) -> float:
@@ -63,13 +66,17 @@ class TrajectoryIntegrals:
     h: complex
 
     def check_pairing(self, tol: float = 1e-10) -> None:
+        """CrossCheckFailure unless each second half of l' and r' is the
+        conjugate of its first half to ``tol`` relative: the halves are two
+        routes to one conjugate pair."""
         n = self.n_modes
         scale = max(1.0, np.abs(self.l_prime).max(), np.abs(self.r_prime).max())
-        if (np.abs(self.l_prime[n:] - self.l_prime[:n].conj()).max(initial=0.0)
-                > tol * scale or
-                np.abs(self.r_prime[n:] - self.r_prime[:n].conj()).max(initial=0.0)
-                > tol * scale):
-            raise ValueError("integrals violate conjugate pairing")
+        resid = max(np.abs(v[n:] - v[:n].conj()).max(initial=0.0)
+                    for v in (self.l_prime, self.r_prime)) / scale
+        if not resid <= tol:
+            raise CrossCheckFailure(f"integrals violate conjugate pairing: "
+                                    f"relative residual {resid:.3e} exceeds "
+                                    f"the bound {tol:.0e}")
 
 
 def sample_ostensible_record(spec: SystemSpec, dt: float, t_final: float,
@@ -85,7 +92,7 @@ def sample_ostensible_record(spec: SystemSpec, dt: float, t_final: float,
     y = np.zeros((steps, 2 * spec.n_channels))
     mask = spec.monitored
     y[:, mask] = rng.normal(size=(steps, int(mask.sum()))) / np.sqrt(dt)
-    return MeasurementRecord(dt=dt, steps=steps, y=y)
+    return MeasurementRecord(dt=dt, y=y)
 
 
 def sample_conditioned_record_gaussian(spec: SystemSpec, mean: np.ndarray,
@@ -125,7 +132,7 @@ def sample_conditioned_record_gaussian(spec: SystemSpec, mean: np.ndarray,
         y_out[j] = (xbar @ two_b.T * dt + dw) / dt
         xbar = xbar + xbar @ mats.A.T * dt + dw @ gains[j].T
     if single:
-        return MeasurementRecord(dt=dt, steps=steps, y=y_out[:, 0])
+        return MeasurementRecord(dt=dt, y=y_out[:, 0])
     return y_out.transpose(1, 0, 2)
 
 
@@ -184,9 +191,16 @@ def checked_currents(y, n_columns: int) -> np.ndarray:
 
 def accumulate_integrals(table: BlockTable, couplings: NoiseCouplings,
                          record: MeasurementRecord) -> TrajectoryIntegrals:
-    """Ito sums of the reordered linear increments over one record."""
-    l_p, r_p, h = accumulate_integrals_ensemble(table, couplings,
-                                                record.y[None, :, :])
+    """Ito sums of the reordered linear increments over one record.
+    DimensionMismatch if the record's dt is not the table's."""
+    if abs(record.dt - table.dt) > 1e-9 * table.dt:
+        raise DimensionMismatch(f"record dt {record.dt!r} differs from the "
+                                f"block table's dt {table.dt!r}")
+    # a record too large for the floats overflows h silently here; the
+    # effect and the state engine name their own non-finite results
+    with np.errstate(over="ignore", invalid="ignore"):
+        l_p, r_p, h = accumulate_integrals_ensemble(table, couplings,
+                                                    record.y[None, :, :])
     out = TrajectoryIntegrals(n_modes=table.n_modes, t=record.t_final,
                               l_prime=l_p[0], r_prime=r_p[0], h=complex(h[0]))
     out.check_pairing()
@@ -319,7 +333,8 @@ def record_from_csv(path: str) -> MeasurementRecord:
             raise ConfigError(f"record CSV {path} must start with a 't' column")
         try:
             # loadtxt warns on an empty body; that case is raised below
-            with warnings.catch_warnings(action="ignore"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ConfigError(f"malformed record CSV {path}: {exc}") from None
@@ -334,7 +349,7 @@ def record_from_csv(path: str) -> MeasurementRecord:
     if not (dt > 0 and np.all(np.abs(np.diff(times) - dt) <= 1e-6 * dt)):
         raise ConfigError(f"record CSV {path}: the t column is not increasing "
                           "and uniformly spaced")
-    return MeasurementRecord(dt=dt, steps=len(data), y=y)
+    return MeasurementRecord(dt=dt, y=y)
 
 
 def integrals_to_json(integrals: TrajectoryIntegrals,

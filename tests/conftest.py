@@ -504,7 +504,7 @@ def integrate_nonlinear_sme(spec, rho0, config):
         rho = 0.5 * (rho + rho.conj().T)
         rho = rho / np.trace(rho).real
     _check_tail(rho, spec.n_modes, dim, f"t={config.t_final}")
-    record = MeasurementRecord(dt=dt, steps=config.steps, y=y)
+    record = MeasurementRecord(dt=dt, y=y)
     final = FockDensityMatrix(n_modes=spec.n_modes, dim_per_mode=dim, rho=rho)
     return final, record
 

@@ -208,7 +208,7 @@ def test_criterion_05_oracle_equivalence(initial):
         dt = dt_fine * agg
         y = np.zeros((steps, 4))
         y[:, 0] = dw.reshape(steps, agg).sum(axis=1) / dt
-        rec = MeasurementRecord(dt=dt, steps=steps, y=y)
+        rec = MeasurementRecord(dt=dt, y=y)
         table = BlockTable(rep, dt, steps)
         ints = accumulate_integrals(table, nc, rec)
         factors = EvolutionFactors.from_blocks(table.final_blocks(), ints)

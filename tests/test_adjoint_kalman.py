@@ -137,7 +137,7 @@ def test_euler_backward_converges_to_exact_flow():
         dt = t_final / steps
         y = np.zeros((steps, 4))
         y[:, 0] = dw.reshape(steps, agg).sum(axis=1) / dt
-        rec = MeasurementRecord(dt=dt, steps=steps, y=y)
+        rec = MeasurementRecord(dt=dt, y=y)
         exact = integrate_backward(mats, rec)
         euler = euler_backward(mats, rec)
         errs.append(max(abs(euler.x[0] - exact.x[0]),
@@ -186,7 +186,7 @@ def test_forward_unmonitored_follows_lyapunov_flow():
     spec = builtin_homodyne_thermal(1.0, 0.5, 0.0)
     mats = kalman_matrices(spec)
     steps = 400
-    rec = MeasurementRecord(dt=1e-3, steps=steps, y=np.zeros((steps, 4)))
+    rec = MeasurementRecord(dt=1e-3, y=np.zeros((steps, 4)))
     _, covs = forward_filter(mats, np.zeros(2), 0.5 * np.eye(2), rec)
     V = 0.5 * np.eye(2)
     for _ in range(steps):
@@ -224,7 +224,7 @@ def test_crosscheck_zero_record_trivial():
     rep = rep_of_generator(compute_generator(spec))
     nc = compute_noise_couplings(spec)
     steps = 700
-    rec = MeasurementRecord(dt=1e-3, steps=steps, y=np.zeros((steps, 4)))
+    rec = MeasurementRecord(dt=1e-3, y=np.zeros((steps, 4)))
     table = BlockTable(rep, 1e-3, steps)
     ints = accumulate_integrals(table, nc, rec)
     lpp = povm_blocks(table.final_blocks())
@@ -341,20 +341,9 @@ def test_sweep_segment_edges_match_inverse_oracle(steps_from_chunk):
 def test_backward_sweep_rejects_wrong_column_count():
     spec = builtin_homodyne_thermal(1.0, 0.3, 0.7)           # 2L = 4
     rec = sample_ostensible_record(spec, 1e-3, 0.1, seed=1)
-    bad = MeasurementRecord(dt=rec.dt, steps=rec.steps, y=rec.y[:, :3])
+    bad = MeasurementRecord(dt=rec.dt, y=rec.y[:, :3])
     with pytest.raises(DimensionMismatch, match="3 current columns"):
         backward_sweep(kalman_matrices(spec), bad, 5)
-
-
-def test_backward_sweep_rejects_row_count_mismatch():
-    # a longer y would otherwise be swept from its wrong end without error
-    spec = builtin_homodyne_thermal(1.0, 0.3, 0.7)
-    rec = sample_ostensible_record(spec, 1e-3, 0.1, seed=1)
-    for rows in (rec.steps - 1, rec.steps + 2):
-        y = np.resize(rec.y, (rows, rec.y.shape[1]))
-        bad = MeasurementRecord(dt=rec.dt, steps=rec.steps, y=y)
-        with pytest.raises(DimensionMismatch, match=f"{rows} rows for 100"):
-            backward_sweep(kalman_matrices(spec), bad, 5)
 
 
 def test_backward_sweep_rejects_non_finite_record():
@@ -363,7 +352,7 @@ def test_backward_sweep_rejects_non_finite_record():
     for value in (np.nan, np.inf):
         y = rec.y.copy()
         y[40, 0] = value
-        bad = MeasurementRecord(dt=rec.dt, steps=rec.steps, y=y)
+        bad = MeasurementRecord(dt=rec.dt, y=y)
         with pytest.raises(ValueError, match="non-finite entries"):
             backward_sweep(kalman_matrices(spec), bad, 5)
 

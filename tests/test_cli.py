@@ -539,3 +539,58 @@ def test_simulate_names_the_overflowing_record(homodyne_config, tmp_path,
     error = json.loads(lines[0])
     assert error["error"] == "MatrixExpFailure"
     assert error["message"].startswith("record 2: ")
+
+
+def _one_error_line(capsys) -> dict:
+    """The run's single stdout line as a parsed error; nothing on stderr
+    (a RuntimeWarning would already have raised: warnings are errors)."""
+    out, err = capsys.readouterr()
+    lines = out.strip().splitlines()
+    assert err == ""
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("command", ["povm", "simulate", "adjoint"])
+def test_long_record_pairing_failure_is_a_crosscheck_failure(
+        homodyne_config, tmp_path, capsys, command):
+    # at t = 30 the two halves of l' and r' drift apart beyond the pairing
+    # bound; the failure is named, not a ValueError traceback
+    argv = [command, "--config", homodyne_config, "--t-final", "30",
+            "--dt", "1e-2", "--fock-dim", "8", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    error = _one_error_line(capsys)
+    assert error["error"] == "CrossCheckFailure"
+    assert "conjugate pairing" in error["message"]
+    assert "1e-10" in error["message"]
+
+
+@pytest.mark.parametrize("command", ["validate", "povm"])
+def test_overflowing_rates_are_out_of_range(tmp_path, capsys, command):
+    # finite C whose products overflow: the generator is not finite
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "n_modes": 1, "n_channels": 1, "G": [0, 0, 0, 0],
+        "C_re": [1e200, 0.0], "C_im": [0.0, 1e200],
+        "M_re": [0.894, 0.0], "M_im": [0.0, 0.0]}))
+    argv = [command, "--config", str(path)]
+    if command == "povm":
+        argv += ["--t-final", "0.01", "--out", str(tmp_path / "povm.json")]
+    assert main(argv) == 2
+    assert _one_error_line(capsys)["error"] == "ParameterOutOfRange"
+    assert not (tmp_path / "povm.json").exists()
+
+
+@pytest.mark.parametrize("command", ["povm", "adjoint", "compare"])
+def test_record_too_large_for_the_floats_is_named(homodyne_config, tmp_path,
+                                                  capsys, command):
+    # currents of +-1e300 overflow the effect's log-normalization (povm
+    # used to write "log_norm": -Infinity) and the evolved state
+    record = tmp_path / "record.csv"
+    rows = [f"{j * 1e-3!r},{(-1) ** j * 1e300!r},0,0,0" for j in range(200)]
+    record.write_text("t,y_1,y_2,y_3,y_4\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", homodyne_config, "--record", str(record),
+                 "--fock-dim", "8", "--out", str(out)]) == 2
+    assert _one_error_line(capsys)["error"] == "MatrixExpFailure"
+    assert not out.exists()

@@ -55,7 +55,7 @@ def test_linear_sme_reduces_to_me_without_monitoring():
     D = 18
     rho0 = coherent_state(1, D, 0.4)
     steps = 400
-    rec = MeasurementRecord(dt=1e-3, steps=steps, y=np.zeros((steps, 4)))
+    rec = MeasurementRecord(dt=1e-3, y=np.zeros((steps, 4)))
     lin = integrate_linear_sme(spec, rho0, rec)
     me = integrate_me(spec, rho0, steps * 1e-3, dt=1e-3)
     lin_n, trace = normalize_and_trace(lin)
@@ -128,7 +128,7 @@ def test_strong_convergence_order_at_least_half():
         dt = t_final / steps
         y = np.zeros((steps, 4))
         y[:, 0] = dw.reshape(steps, agg).sum(axis=1) / dt
-        rec = MeasurementRecord(dt=dt, steps=steps, y=y)
+        rec = MeasurementRecord(dt=dt, y=y)
         euler = normalize_and_trace(integrate_linear_sme(spec, rho0, rec))[0]
         table = BlockTable(rep, dt, steps)
         ints = accumulate_integrals(table, nc, rec)

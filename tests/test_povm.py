@@ -205,7 +205,7 @@ def test_two_mode_product_effect_block_diagonalizes():
         sub = builtin_homodyne_thermal(g, 0.0, 1.0)
         y = np.zeros((rec.steps, 4))
         y[:, 0] = rec.y[:, k]
-        sub_rec = MeasurementRecord(dt=rec.dt, steps=rec.steps, y=y)
+        sub_rec = MeasurementRecord(dt=rec.dt, y=y)
         sub_rep = rep_of_generator(compute_generator(sub))
         sub_table = BlockTable(sub_rep, rec.dt, rec.steps)
         sub_ints = accumulate_integrals(sub_table, compute_noise_couplings(sub),
@@ -270,7 +270,7 @@ def test_optomech_record_summary_two_kernel_form():
     y[:support, 1] = rng.normal(size=support) / np.sqrt(dt)
     from lintraj.trajectory import MeasurementRecord
 
-    rec = MeasurementRecord(dt=dt, steps=steps, y=y)
+    rec = MeasurementRecord(dt=dt, y=y)
     table = BlockTable(rep, dt, steps)
     ints = accumulate_integrals(table, nc, rec)
     lpp = povm_blocks(table.final_blocks())

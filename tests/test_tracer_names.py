@@ -28,3 +28,17 @@ def test_traced_names_are_bound():
         missing = [name for name in names if not hasattr(owner, name)]
         assert not missing, f"{owner.__name__} lacks {missing}"
     assert callable(lintraj.state_engine.EnsemblePropagator.propagate_vec)
+
+
+def test_traced_spans_are_in_the_metric_catalogue():
+    # a traced run rejects any span outside LAYER_FUNCTIONS; each span is
+    # named <module>.<qualname> of the callable bound under the traced name
+    workloads = _workloads()
+    bound = [getattr(owner, name) for owner, names in (
+        (lintraj.cli, workloads.CLI_TRACED),
+        (lintraj.state_engine, workloads.STATE_ENGINE_TRACED),
+        (workloads, workloads.WORKLOADS_TRACED)) for name in names]
+    bound.append(lintraj.state_engine.EnsemblePropagator.propagate_vec)
+    outside = {workloads.span_name(fn) for fn in bound} - set(
+        workloads.LAYER_FUNCTIONS)
+    assert not outside, f"spans outside the metric catalogue: {sorted(outside)}"

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lintraj import trajectory
-from lintraj.errors import ConfigError
+from lintraj.errors import ConfigError, DimensionMismatch
 from lintraj.lie_rep import rep_of_generator
 from lintraj.parameterization import compute_generator, compute_noise_couplings
 from lintraj.system import builtin_homodyne_thermal, builtin_optomech_squeezing
@@ -73,7 +73,7 @@ def test_ostensible_record_variance(homodyne_pipeline):
 def test_zero_record_gives_zero_integrals(homodyne_pipeline):
     spec, rep, nc = homodyne_pipeline
     steps = 200
-    rec = MeasurementRecord(dt=1e-3, steps=steps, y=np.zeros((steps, 4)))
+    rec = MeasurementRecord(dt=1e-3, y=np.zeros((steps, 4)))
     table = BlockTable(rep, 1e-3, steps)
     ints = accumulate_integrals(table, nc, rec)
     assert np.abs(ints.l_prime).max() == 0.0
@@ -111,7 +111,7 @@ def test_constant_record_exponential_kernel():
     steps = int(t_final / dt)
     y = np.zeros((steps, 4))
     y[:, 0] = level
-    rec = MeasurementRecord(dt=dt, steps=steps, y=y)
+    rec = MeasurementRecord(dt=dt, y=y)
     table = BlockTable(rep, dt, steps)
     ints = accumulate_integrals(table, nc, rec)
     taus = dt * np.arange(1, steps + 1)
@@ -135,7 +135,7 @@ def test_refinement_convergence_of_integrals():
         steps = 2 ** 12 // agg
         y = np.zeros((steps, 4))
         y[:, 0] = dw.reshape(steps, agg).sum(axis=1) / dt
-        rec = MeasurementRecord(dt=dt, steps=steps, y=y)
+        rec = MeasurementRecord(dt=dt, y=y)
         table = BlockTable(rep, dt, steps)
         return accumulate_integrals(table, nc, rec)
 
@@ -284,7 +284,7 @@ def test_ensemble_equals_single_records(n_traj, steps, chunk, seed):
     with mock.patch.object(trajectory, "_STREAM_CHUNK", chunk):
         ens = accumulate_integrals_ensemble(table, nc, y)
     singles = [accumulate_integrals(table, nc,
-                                    MeasurementRecord(dt=1e-3, steps=steps, y=row))
+                                    MeasurementRecord(dt=1e-3, y=row))
                for row in y]
     want = (np.array([s.l_prime for s in singles]),
             np.array([s.r_prime for s in singles]),
@@ -301,7 +301,7 @@ def test_integrals_keep_conjugate_pairing(n, ell, steps, dt, seed):
     table = BlockTable(rep_of_generator(compute_generator(spec)), dt, steps)
     y = rng.normal(size=(steps, 2 * ell)) / np.sqrt(dt)
     ints = accumulate_integrals(table, compute_noise_couplings(spec),
-                                MeasurementRecord(dt=dt, steps=steps, y=y))
+                                MeasurementRecord(dt=dt, y=y))
     ints.check_pairing(1e-12)
 
 
@@ -395,7 +395,7 @@ def test_record_csv_bytes_match_csv_writer(tmp_path, steps, comment):
                         -7.0e22, 123456789.125, np.pi, -np.e, 1e-7])
     y = np.resize(special, (steps, 4))
     y[-1] = [-0.0, 1.7976931348623157e308, -1e-310, 1 / 3]
-    rec = MeasurementRecord(dt=1e-3, steps=steps, y=y)
+    rec = MeasurementRecord(dt=1e-3, y=y)
     path = tmp_path / "rec.csv"
     record_to_csv(rec, str(path), header_comment=comment)
     assert path.read_bytes() == _csv_writer_bytes(rec, comment)
@@ -416,7 +416,7 @@ def test_record_csv_bytes_match_savetxt_at_block_edges(tmp_path, offset):
     steps = trajectory._CSV_BLOCK + offset
     y = np.random.default_rng(offset + 2).normal(size=(steps, 4))
     y[::7, 1:] = 0.0
-    rec = MeasurementRecord(dt=1e-4, steps=steps, y=y)
+    rec = MeasurementRecord(dt=1e-4, y=y)
     path = tmp_path / "rec.csv"
     record_to_csv(rec, str(path), header_comment="seed 3")
     fh = io.StringIO(newline="")
@@ -437,3 +437,14 @@ def test_block_table_keeps_grid_blocks_and_rejects_overflow(homodyne_pipeline):
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(MatrixExpFailure):
         BlockTable(RepMatrix(n_modes=1, matrix=T), 1.0, 3)
+
+
+def test_accumulate_rejects_record_on_another_grid():
+    # a dt = 2e-3 record of the table's 500 steps used to be summed against
+    # the kernels of the 1e-3 grid and labelled t = 1.0
+    spec = builtin_homodyne_thermal(1.0, 0.3, 0.7)
+    table = BlockTable(rep_of_generator(compute_generator(spec)), 1e-3, 500)
+    rec = sample_ostensible_record(spec, 2e-3, 1.0, seed=1)
+    assert rec.steps == table.steps
+    with pytest.raises(DimensionMismatch, match="dt"):
+        accumulate_integrals(table, compute_noise_couplings(spec), rec)
