@@ -33,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
+from ._linalg import expm
 from .errors import CrossCheckFailure, FilterDivergence, RiccatiBlowup
 from .lie_rep import _POWER_CHUNK, step_powers
 from .system import SystemSpec

@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,9 +83,16 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _manifest(args, cfg: dict) -> tuple[dict, str]:
-    import scipy
+@lru_cache(maxsize=1)
+def _scipy_version() -> str:
+    """The installed scipy's version, read from its package metadata: a
+    one-mode run never imports scipy itself."""
+    from importlib.metadata import version
 
+    return version("scipy")
+
+
+def _manifest(args, cfg: dict) -> tuple[dict, str]:
     # the output location is not part of the manifest: identical manifests
     # must reproduce byte-identical numeric outputs wherever they are written
     manifest = {
@@ -97,7 +105,7 @@ def _manifest(args, cfg: dict) -> tuple[dict, str]:
         "fock_dim": getattr(args, "fock_dim", None),
         "initial": getattr(args, "initial", None),
         "versions": {"lintraj": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+                     "scipy": _scipy_version()},
     }
     blob = json.dumps(manifest, sort_keys=True, default=str).encode()
     return manifest, hashlib.sha256(blob).hexdigest()[:16]
@@ -188,9 +196,6 @@ def cmd_simulate(args) -> int:
     if args.trajectories < 1:
         raise ConfigError(f"--trajectories must be >= 1, got {args.trajectories}")
     rho0 = _initial_state(args.initial, spec.n_modes, args.fock_dim)
-    os.makedirs(args.out, exist_ok=True)
-    os.makedirs(os.path.join(args.out, "states"), exist_ok=True)
-    _write_json(os.path.join(args.out, "manifest.json"), manifest, stamp)
 
     # record-independent work, once per ensemble
     table, couplings = _pipeline_for(spec, args.dt, steps)
@@ -232,6 +237,9 @@ def cmd_simulate(args) -> int:
         rows.append(row)
         normalized_states.append(normalized)
 
+    # only a run whose numbers are all computed creates its output directory
+    os.makedirs(os.path.join(args.out, "states"), exist_ok=True)
+    _write_json(os.path.join(args.out, "manifest.json"), manifest, stamp)
     record_to_csv(records[0], os.path.join(args.out, "records.csv"),
                   header_comment=f"manifest {stamp}")
     _write_json(os.path.join(args.out, "integrals.json"),

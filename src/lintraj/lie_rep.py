@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm, logm
 
+from ._linalg import expm, logm
 from .errors import LogBranchFailure, MatrixExpFailure, SingularBlock
 from .parameterization import QuadraticForm, half_swap
 

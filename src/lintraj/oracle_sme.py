@@ -29,7 +29,7 @@ def build_operators(spec: SystemSpec, dim: int):
     are materialized.
     """
     n = spec.n_modes
-    a = np.array([op.toarray() for op in _mode_lowering(n, dim)])
+    a = np.array(_mode_lowering(n, dim))
     ad = a.conj().transpose(0, 2, 1)
     x = (np.stack([a + ad, 1j * (ad - a)], axis=1) / np.sqrt(2.0)).reshape(
         2 * n, *a.shape[1:])

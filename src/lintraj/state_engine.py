@@ -20,14 +20,20 @@ they are applied on their own, in the same form as every other factor:
 rho -> K rho K^dag with K = exp(sum_i l_i a_i) (or exp(sum_i r_i a_i^dag)),
 a Kronecker product of closed-form triangular D x D matrices
 (:func:`lowering_exp`).  For a single mode every term of a species commutes,
-so each quadratic factor exponential splits into a D x D exponential, a
-sandwich series written down entry by entry and, for the number factor, one
-small block per m + n sector (:func:`single_mode_exponentials`).  These act
-directly on the (D^2, S) stack of an ensemble's records; no D^2 x D^2
-matrix is formed or exponentiated.  Two or more modes apply the sparse
-quadratic lifts with ``expm_multiply``.  :meth:`EnsemblePropagator.evolve_records`
-evolves a whole ensemble in one call, and :func:`apply_evolution` is a
-one-record call into the engine with the same checks.
+so each quadratic factor exponential splits into a D x D exponential and a
+superoperator that keeps either every diagonal n - m of rho (the sandwich
+series, written down entry by entry) or every m + n sector (the number
+factor).  Packed two diagonals or two sectors to a block, such a
+superoperator is D blocks of D x D (:class:`SlotOperator`); the two D x D
+exponentials and the D number blocks come from one stacked numpy
+:func:`~lintraj._linalg.expm` call (:func:`single_mode_exponentials`).
+Each acts on the (D^2, S) stack of an ensemble's records as a permutation,
+one batched matmul and the inverse permutation; no D^2 x D^2 matrix is
+formed or exponentiated, and no scipy is imported.  Two or more modes apply
+the sparse quadratic lifts with scipy's ``expm_multiply``, imported on
+first use.  :meth:`EnsemblePropagator.evolve_records` evolves a whole
+ensemble in one call, and :func:`apply_evolution` is a one-record call into
+the engine with the same checks.
 """
 
 from __future__ import annotations
@@ -37,10 +43,8 @@ from functools import lru_cache, reduce
 from math import factorial
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
 
+from ._linalg import expm
 from .errors import (
     DimensionMismatch,
     MatrixExpFailure,
@@ -90,17 +94,11 @@ def lowering_exp(c: complex | np.ndarray, dim: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _mode_lowering(n_modes: int, dim: int) -> tuple:
-    """Per-mode lowering operators on the D^N product space (sparse CSR)."""
-    a1 = sp.csr_matrix(np.diag(np.sqrt(np.arange(1, dim)), k=1))
-    eye = sp.identity(dim, format="csr")
-    ops = []
-    for i in range(n_modes):
-        factors = [a1 if j == i else eye for j in range(n_modes)]
-        acc = factors[0]
-        for f in factors[1:]:
-            acc = sp.kron(acc, f, format="csr")
-        ops.append(acc)
-    return tuple(ops)
+    """Per-mode lowering operators on the D^N product space (dense)."""
+    a1, _, _ = fock_operators(dim)
+    eye = np.eye(dim)
+    return tuple(reduce(np.kron, [a1 if j == i else eye for j in range(n_modes)])
+                 for i in range(n_modes))
 
 
 @dataclass
@@ -215,28 +213,28 @@ class EvolutionFactors:
         )
 
 
-def _lift_left(X: sp.spmatrix, dim: int) -> sp.spmatrix:
-    return sp.kron(sp.identity(dim, format="csr"), X, format="csr")
-
-
-def _lift_right(X: sp.spmatrix, dim: int) -> sp.spmatrix:
-    return sp.kron(X.T, sp.identity(dim, format="csr"), format="csr")
-
-
-def _sandwich(left: sp.spmatrix, right: sp.spmatrix) -> sp.spmatrix:
-    # A rho B -> (B^T kron A) vec(rho)
-    return sp.kron(right.T, left, format="csr")
-
-
 def evolution_superoperators(factors: EvolutionFactors, dim: int):
     """(S_ann, S_num, S_cre) sparse lifts; the evolution applies
     exp(S_cre) exp(S_num) exp(S_ann) together with the scalar exponents.
 
     Each lift combines left action, the Hermiticity-pairing right action, and
-    the cross (sandwich) term of its species.
+    the cross (sandwich) term of its species.  Only the engine for two or
+    more modes uses them, so scipy.sparse is imported here.
     """
+    import scipy.sparse as sp
+
+    def lift_left(X):
+        return sp.kron(sp.identity(d, format="csr"), X, format="csr")
+
+    def lift_right(X):
+        return sp.kron(X.T, sp.identity(d, format="csr"), format="csr")
+
+    def sandwich(left, right):
+        # A rho B -> (B^T kron A) vec(rho)
+        return sp.kron(right.T, left, format="csr")
+
     n = factors.n_modes
-    a_ops = _mode_lowering(n, dim)
+    a_ops = [sp.csr_matrix(op) for op in _mode_lowering(n, dim)]
     ad_ops = [op.conj().T.tocsr() for op in a_ops]
     d = dim ** n
 
@@ -247,25 +245,25 @@ def evolution_superoperators(factors: EvolutionFactors, dim: int):
         for j in range(n):
             if factors.L_prime[i, j] != 0:
                 x_ann = x_ann + factors.L_prime[i, j] * (a_ops[i] @ a_ops[j])
-    s_ann = _lift_left(x_ann, d) + _lift_right(x_ann.conj().T.tocsr(), d)
+    s_ann = lift_left(x_ann) + lift_right(x_ann.conj().T.tocsr())
     for i in range(n):
         for j in range(n):
             if factors.L_breve[i, j] != 0:
-                s_ann = s_ann + 2.0 * factors.L_breve[i, j] * _sandwich(a_ops[i], ad_ops[j])
+                s_ann = s_ann + 2.0 * factors.L_breve[i, j] * sandwich(a_ops[i], ad_ops[j])
 
     x_num = sp.csr_matrix((d, d), dtype=complex)
     for i in range(n):
         for j in range(n):
             if factors.D_under[i, j] != 0:
                 x_num = x_num + factors.D_under[i, j] * (ad_ops[i] @ a_ops[j])
-    s_num = _lift_left(x_num, d) + _lift_right(x_num.conj().T.tocsr(), d)
+    s_num = lift_left(x_num) + lift_right(x_num.conj().T.tocsr())
     db_dag = factors.D_breve.conj().T
     for i in range(n):
         for j in range(n):
             if factors.D_breve[i, j] != 0:
-                s_num = s_num + factors.D_breve[i, j] * _sandwich(ad_ops[i], ad_ops[j])
+                s_num = s_num + factors.D_breve[i, j] * sandwich(ad_ops[i], ad_ops[j])
             if db_dag[i, j] != 0:
-                s_num = s_num + db_dag[i, j] * _sandwich(a_ops[i], a_ops[j])
+                s_num = s_num + db_dag[i, j] * sandwich(a_ops[i], a_ops[j])
 
     x_cre = sp.csr_matrix((d, d), dtype=complex)
     for i in range(n):
@@ -274,21 +272,67 @@ def evolution_superoperators(factors: EvolutionFactors, dim: int):
         for j in range(n):
             if factors.R_prime[i, j] != 0:
                 x_cre = x_cre + factors.R_prime[i, j] * (ad_ops[i] @ ad_ops[j])
-    s_cre = _lift_left(x_cre, d) + _lift_right(x_cre.conj().T.tocsr(), d)
+    s_cre = lift_left(x_cre) + lift_right(x_cre.conj().T.tocsr())
     for i in range(n):
         for j in range(n):
             if factors.R_breve[i, j] != 0:
-                s_cre = s_cre + 2.0 * factors.R_breve[i, j] * _sandwich(ad_ops[i], a_ops[j])
+                s_cre = s_cre + 2.0 * factors.R_breve[i, j] * sandwich(ad_ops[i], a_ops[j])
 
     return s_ann, s_num, s_cre
 
 
 @lru_cache(maxsize=32)
+def _slot_layouts(dim: int) -> tuple:
+    """The diagonal and the sector layouts of column-stacked vec(rho), as
+    (take, put) permutations: entry rho[m, n], at vec index m + n dim, sits
+    in slot b dim + m of a layout, where b = (n - m) mod dim in the diagonal
+    layout and b = (n + m) mod dim in the sector layout.
+
+    So each block b of dim slots holds two whole diagonals, n - m = b and
+    b - dim, or two whole m + n sectors, b and b + dim, ordered by m.
+    ``put[j]`` is the slot of vec index j, and ``take`` its inverse."""
+    j = np.arange(dim * dim)
+    m, n = j % dim, j // dim
+    layouts = []
+    for block in ((n - m) % dim, (n + m) % dim):
+        put = block * dim + m
+        take = np.empty_like(put)
+        take[put] = j
+        layouts.append((take, put))
+    return tuple(layouts)
+
+
+@dataclass(frozen=True)
+class SlotOperator:
+    """A D^2 x D^2 operator on column-stacked vec(rho) that maps each block
+    of a layout (:func:`_slot_layouts`) to itself, given as the (D, D, D)
+    stack of its ``blocks``.  ``M @ V`` on a (D^2, S) stack V permutes V
+    into the layout, applies the blocks as one batched matmul and permutes
+    the result back, so each column only mixes with itself."""
+
+    blocks: np.ndarray
+    take: np.ndarray
+    put: np.ndarray
+
+    def __matmul__(self, V: np.ndarray) -> np.ndarray:
+        dim = len(self.blocks)
+        X = V.take(self.take, axis=0).astype(self.blocks.dtype, copy=False)
+        Y = self.blocks @ X.reshape(dim, dim, -1)
+        # the result goes back into X: one fresh stack fewer per call
+        return Y.reshape(dim * dim, -1).take(self.put, axis=0, out=X)
+
+    def toarray(self) -> np.ndarray:
+        """The dense D^2 x D^2 matrix."""
+        return self @ np.eye(len(self.put))
+
+
+@lru_cache(maxsize=32)
 def _raising_sandwich_table(dim: int) -> tuple:
-    """(out, inn, k, w): the raising sandwich series
-    sum_k c^k / k! a^dag^k rho a^k on column-stacked vec(rho) has the entry
-    w c^k at [out, inn], with out = m + n dim taking rho[m - k, n - k] at
-    inn = out - k (dim + 1) and w = sqrt(m!/(m-k)!) sqrt(n!/(n-k)!) / k!."""
+    """(block, row, col, k, w): the raising sandwich series
+    sum_k c^k / k! a^dag^k rho a^k takes rho[m - k, n - k] into rho[m, n]
+    with weight w c^k, w = sqrt(m!/(m-k)!) sqrt(n!/(n-k)!) / k!.  Both
+    entries lie on the diagonal n - m, so the series is the lower-triangular
+    (row, col) = (m, m - k) entry of that block of the diagonal layout."""
     levels = np.arange(dim)
     # root falling factorials rf[m, k] = sqrt(m!/(m-k)!), zero for k > m
     rf = np.ones((dim, dim))
@@ -298,43 +342,39 @@ def _raising_sandwich_table(dim: int) -> tuple:
     m, n, k = np.indices((dim, dim, dim)).reshape(3, -1)
     keep = k <= np.minimum(m, n)
     m, n, k = m[keep], n[keep], k[keep]
-    out = m + n * dim
-    return out, out - k * (dim + 1), k, rf[m, k] * rf[n, k] / k_fact[k]
+    return (n - m) % dim, m, m - k, k, rf[m, k] * rf[n, k] / k_fact[k]
 
 
-def _sandwich_exp(c: complex, dim: int, raising: bool) -> sp.csr_matrix:
+def _sandwich_operator(c: complex, dim: int, raising: bool) -> SlotOperator:
     """exp(c S) for the sandwich S: rho -> a^dag rho a (``raising``) or
-    a rho a^dag: the series ends after dim terms on the truncation.  The
-    lowering series is the transpose of the raising one."""
-    out, inn, k, w = _raising_sandwich_table(dim)
-    rows, cols = (out, inn) if raising else (inn, out)
-    return sp.csr_matrix((w * np.power(complex(c), k), (rows, cols)),
-                         shape=(dim * dim, dim * dim))
+    a rho a^dag, on the diagonal layout.  The series ends after dim terms on
+    the truncation; the lowering blocks are the transposes of the raising
+    ones."""
+    block, row, col, k, w = _raising_sandwich_table(dim)
+    if not raising:
+        row, col = col, row
+    out = np.zeros((dim, dim, dim), dtype=complex)
+    out[block, row, col] = w * np.power(complex(c), k)
+    return SlotOperator(out, *_slot_layouts(dim)[0])
 
 
-def _number_sector_exp(d_under: complex, d_breve: complex,
-                       dim: int) -> sp.csr_matrix:
-    """exp(S_num) of one mode, one m + n sector at a time.  On the sector's
-    entries rho[m, s - m] the number factor d_u a^dag a rho
-    + rho conj(d_u) a^dag a + d_breve a^dag rho a^dag + conj(d_breve) a rho a
-    is tridiagonal: d_u m + conj(d_u) (s - m) on the diagonal, and it takes
-    rho[m - 1, s - m + 1] (a^dag rho a^dag) and rho[m + 1, s - m - 1]
-    (a rho a) from the neighbouring entries."""
-    rows, cols, vals = [], [], []
-    for s in range(2 * dim - 1):
-        m = np.arange(max(0, s - dim + 1), min(s, dim - 1) + 1)
-        idx = m + (s - m) * dim
-        block = np.diag(d_under * m + np.conj(d_under) * (s - m))
-        block[1:, :-1] += np.diag(d_breve * np.sqrt(m[1:] * (s - m[1:] + 1.0)))
-        block[:-1, 1:] += np.diag(np.conj(d_breve)
-                                  * np.sqrt((m[:-1] + 1.0) * (s - m[:-1])))
-        rows.append(np.repeat(idx, idx.size))
-        cols.append(np.tile(idx, idx.size))
-        vals.append(expm(block).ravel())
-    d2 = dim * dim
-    return sp.csr_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(d2, d2))
+def _number_generators(d_under: complex, d_breve: complex, dim: int) -> np.ndarray:
+    """Sector-layout blocks of the one-mode number factor
+    S_num rho = d_u a^dag a rho + rho conj(d_u) a^dag a
+    + d_breve a^dag rho a^dag + conj(d_breve) a rho a.  It keeps m + n: on
+    a sector's entries rho[m, n] it is tridiagonal, with d_u m + conj(d_u) n
+    on the diagonal, and it takes rho[m - 1, n + 1] (a^dag rho a^dag) and
+    rho[m + 1, n - 1] (a rho a) from the neighbouring slots."""
+    m, n = np.indices((dim, dim)).reshape(2, -1)
+    block = (m + n) % dim
+    out = np.zeros((dim, dim, dim), dtype=complex)
+    out[block, m, m] = d_under * m + np.conj(d_under) * n
+    up = (m > 0) & (n < dim - 1)
+    out[block[up], m[up], m[up] - 1] = d_breve * np.sqrt(m[up] * (n[up] + 1.0))
+    dn = (m < dim - 1) & (n > 0)
+    out[block[dn], m[dn], m[dn] + 1] = (np.conj(d_breve)
+                                        * np.sqrt((m[dn] + 1.0) * n[dn]))
+    return out
 
 
 def single_mode_exponentials(factors: EvolutionFactors, dim: int) -> list:
@@ -345,22 +385,27 @@ def single_mode_exponentials(factors: EvolutionFactors, dim: int) -> list:
     factor is K = exp(L' a^2 + l_u a) with M the terminating sandwich series
     sum_k (2 L_breve)^k / k! a^k rho a^dag^k; the creation factor is the same
     with a^dag for a; the number factor has K = None and M its sector-block
-    exponential.  The sandwich series are written down entry by entry, and
-    only D x D matrices and the number sectors are exponentiated.
+    exponential.  Each M is a :class:`SlotOperator`: the sandwich series are
+    written down entry by entry on the diagonal layout, and the number
+    factor's D blocks of two sectors each are exponentiated in the same
+    stacked :func:`expm` call as the two K.  No matrix larger than D x D is
+    exponentiated.
     """
     if factors.n_modes != 1:
         raise DimensionMismatch("structured exponentials are single-mode only")
     a, ad, _ = fock_operators(dim)
-    ann = (expm(factors.L_prime[0, 0] * (a @ a) + factors.l_under[0] * a),
-           _sandwich_exp(2.0 * factors.L_breve[0, 0], dim, raising=False))
-    num = (None, _number_sector_exp(factors.D_under[0, 0],
-                                    factors.D_breve[0, 0], dim))
-    cre = (expm(factors.R_prime[0, 0] * (ad @ ad) + factors.r_under[0] * ad),
-           _sandwich_exp(2.0 * factors.R_breve[0, 0], dim, raising=True))
-    return [ann, num, cre]
+    exps = expm(np.concatenate([
+        [factors.L_prime[0, 0] * (a @ a) + factors.l_under[0] * a,
+         factors.R_prime[0, 0] * (ad @ ad) + factors.r_under[0] * ad],
+        _number_generators(factors.D_under[0, 0], factors.D_breve[0, 0], dim)]))
+    return [(exps[0], _sandwich_operator(2.0 * factors.L_breve[0, 0], dim,
+                                         raising=False)),
+            (None, SlotOperator(exps[2:], *_slot_layouts(dim)[1])),
+            (exps[1], _sandwich_operator(2.0 * factors.R_breve[0, 0], dim,
+                                         raising=True))]
 
 
-def _apply_exponential(K: np.ndarray, M: sp.spmatrix | None,
+def _apply_exponential(K: np.ndarray, M: SlotOperator | None,
                        V: np.ndarray, side: int) -> np.ndarray:
     """kron(conj(K), K) @ M @ V for a (side^2, S) stack V of vec(rho)
     columns, with the Kronecker factor applied as K rho K^dag.  ``K`` is one
@@ -413,12 +458,13 @@ class EnsemblePropagator:
     per-mode factor a closed-form D x D matrix (:func:`lowering_exp`).
 
     One mode keeps the three (K, M) pairs of :func:`single_mode_exponentials`:
-    two D x D exponentials, two sandwich series written down in closed form
-    and the number factor's sector blocks.  They are applied straight to the
-    (D^2, S) stack of a call's records; no D^2 x D^2 matrix is formed or
-    exponentiated.  More modes keep the sparse quadratic lifts of
-    :func:`evolution_superoperators` and apply them with ``expm_multiply``,
-    one record at a time.
+    two D x D exponentials, and the two sandwich series and the number
+    factor as :class:`SlotOperator` stacks of D blocks of D x D, all from
+    numpy alone.  They are applied straight to the (D^2, S) stack of a
+    call's records, each M as two index permutations around one batched
+    matmul; no D^2 x D^2 matrix is formed or exponentiated.  More modes keep
+    the sparse quadratic lifts of :func:`evolution_superoperators` and apply
+    them with scipy's ``expm_multiply``, one record at a time.
 
     :meth:`evolve_records` evolves a whole ensemble in one pass: one
     normal ordering of the (S, 2N) stack of integrals, one application of
@@ -474,6 +520,8 @@ class EnsemblePropagator:
             V = _apply_exponential(k_ann @ k_l, m_ann, v0, side)
             V = _apply_exponential(k_r @ k_cre, m_cre, m_num @ V, side)
         else:
+            from scipy.sparse.linalg import expm_multiply
+
             # one column per expm_multiply call: a many-column call was
             # measured slower than the same columns one at a time
             V = _apply_exponential(k_l, None, v0, side)

@@ -176,13 +176,18 @@ class BlockTable:
 
 def checked_currents(y, n_columns: int) -> np.ndarray:
     """``y`` as an array of current samples with ``n_columns`` columns on
-    its last axis.  ValueError for complex or non-finite entries,
-    DimensionMismatch for any other column count."""
+    its last axis and time on the one before.  ValueError for complex or
+    non-finite entries, DimensionMismatch for any other column count.
+    Finiteness is checked ``_STREAM_CHUNK // records`` steps at a time, so
+    no temporary the size of the record is formed."""
     y = np.asarray(y)
     if np.iscomplexobj(y):
         raise ValueError("record currents must be real")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("record contains non-finite entries")
+    y2 = np.atleast_2d(y)
+    chunk = max(1, _STREAM_CHUNK // max(1, int(np.prod(y2.shape[:-2]))))
+    for j in range(0, y2.shape[-2], chunk):
+        if not np.isfinite(y2[..., j:j + chunk, :]).all():
+            raise ValueError("record contains non-finite entries")
     if y.shape[-1] != n_columns:
         raise DimensionMismatch(f"record has {y.shape[-1]} current columns; "
                                 f"the system has {n_columns}")

@@ -9,6 +9,7 @@ import pytest
 from mpmath import mp
 from scipy.linalg import expm
 
+from lintraj import _linalg
 from lintraj.adjoint_kalman import (
     INFO_FLOOR,
     EffectMoments,
@@ -193,7 +194,7 @@ def inverse_backward_sweep(mats, record, n_samples):
     every step.  Returns (xs at the samples, final z)."""
     steps, dt = record.steps, record.dt
     n2 = 2 * mats.n_modes
-    step = expm(_riccati_flow_matrix(mats) * dt)
+    step = _linalg.expm(_riccati_flow_matrix(mats) * dt)
     xy = np.vstack([np.eye(n2), np.zeros((n2, n2))])
     w = np.zeros(n2)
     sample_every = max(1, steps // max(1, n_samples - 1))
@@ -232,7 +233,7 @@ def mp_backward_sweep(mats, record, n_samples):
     final z), rounded to float64."""
     steps, dt = record.steps, record.dt
     n2 = 2 * mats.n_modes
-    step = expm(_riccati_flow_matrix(mats) * dt)
+    step = _linalg.expm(_riccati_flow_matrix(mats) * dt)
     kernel = np.vstack([2.0 * mats.B.T, mats.S.T]).T     # exact in float64
     sample_every = max(1, steps // max(1, n_samples - 1))
     with mp.workdps(40):
@@ -573,8 +574,9 @@ def apply_evolution_power_series(rho0, factors):
 def sequential_powers(rep, dt, steps):
     """Test oracle for ``propagator_powers``: the (steps, 4N+2, 4N+2)
     propagators at j = 1..steps, one sequential product with the single-step
-    propagator per step."""
-    step = expm(rep.matrix * dt)
+    propagator per step.  The step is the library's own exponential, so the
+    first chunk of ``propagator_powers`` is these products bitwise."""
+    step = _linalg.expm(rep.matrix * dt)
     acc = np.eye(rep.dim, dtype=complex)
     out = np.empty((steps, rep.dim, rep.dim), dtype=complex)
     for k in range(steps):

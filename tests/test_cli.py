@@ -404,6 +404,14 @@ def test_povm_retrodict_rejects_bad_prior_variance(homodyne_config, tmp_path,
     assert not out.exists()
 
 
+def _fresh_python(*args) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1]
+                                           / "src")}
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 def test_simulate_overflow_is_one_json_line_and_clean_stderr(tmp_path):
     # optomech state runs past t ~ 2 overflow the scalar exp(delta' + sigma):
     # the failure is named on stdout, with no numpy warning on stderr
@@ -412,17 +420,77 @@ def test_simulate_overflow_is_one_json_line_and_clean_stderr(tmp_path):
         "name": "optomech_squeezing",
         "params": {"mu": 1.0, "eta": 1.0, "gamma": 0.4, "K_th": 0.2,
                    "chi": 0.3}}}))
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1]
-                                           / "src")}
-    proc = subprocess.run(
-        [sys.executable, "-m", "lintraj.cli", "simulate", "--config", str(cfg),
-         "--t-final", "3", "--fock-dim", "8", "--out", str(tmp_path / "run")],
-        env=env, capture_output=True, text=True, timeout=300)
+    proc = _fresh_python("-m", "lintraj.cli", "simulate", "--config", str(cfg),
+                         "--t-final", "3", "--fock-dim", "8",
+                         "--out", str(tmp_path / "run"))
     assert proc.returncode == 2
     lines = proc.stdout.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "MatrixExpFailure"
     assert proc.stderr == ""
+
+
+def test_failed_simulate_leaves_no_output_directory(homodyne_config, tmp_path):
+    # the long-record pairing check fails after every input has passed:
+    # the run writes nothing, not even its manifest or states/
+    out = tmp_path / "run"
+    proc = _fresh_python("-m", "lintraj.cli", "simulate",
+                         "--config", homodyne_config, "--t-final", "30",
+                         "--dt", "1e-2", "--fock-dim", "8", "--out", str(out))
+    assert proc.returncode == 2
+    lines = proc.stdout.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "CrossCheckFailure"
+    assert proc.stderr == ""
+    assert not out.exists()
+
+
+# one-mode commands through cli.main, then a two-mode simulate, in one process
+_SCIPY_FREE_RUN = """
+import contextlib, io, sys
+import lintraj.cli as cli
+
+one_mode, two_mode, tmp = sys.argv[1:]
+small = ["--t-final", "0.05", "--fock-dim", "6"]
+commands = [
+    ["validate", "--config", one_mode],
+    ["simulate", "--config", one_mode, *small, "--trajectories", "2",
+     "--out", tmp + "/run"],
+    ["povm", "--config", one_mode, "--record", tmp + "/run/records.csv",
+     "--retrodict", "--out", tmp + "/povm.json"],
+    ["adjoint", "--config", one_mode, "--record", tmp + "/run/records.csv",
+     "--out", tmp + "/adj"],
+    ["compare", "--config", one_mode, *small, "--out", tmp + "/compare.json"],
+]
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["simulate", "--config", two_mode, *small[:2],
+                     "--fock-dim", "3", "--out", tmp + "/run2"]) == 0
+assert "scipy.sparse" in sys.modules
+print("ok")
+"""
+
+
+def test_one_mode_commands_import_no_scipy(homodyne_config, tmp_path):
+    import numpy as np
+
+    from lintraj.system import FockFormSpec, from_fock_form, spec_to_config
+
+    # two damped modes, each monitored: vacuum stays on a 3-level truncation
+    M = np.zeros((2, 4), dtype=complex)
+    M[0, 0], M[1, 2] = np.sqrt(0.8), np.sqrt(0.5)
+    spec = from_fock_form(FockFormSpec(
+        n_modes=2, n_channels=2, F=np.zeros((4, 4)),
+        Z=np.array([[1, 0, 0, 0], [0, 0, 0.7, 0]], dtype=complex), M=M))
+    two_mode = tmp_path / "n2.json"
+    two_mode.write_text(json.dumps(spec_to_config(spec)))
+    proc = _fresh_python("-c", _SCIPY_FREE_RUN, homodyne_config,
+                         str(two_mode), str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
 
 
 @pytest.mark.parametrize("n_cols", [1, 2])

@@ -275,12 +275,16 @@ def test_engine_matches_dense_route(rng):
 
 
 def test_single_mode_engine_exponentiates_only_small_matrices(monkeypatch):
+    # every exponential the engine takes, stacked or not, is of D x D
+    # matrices at most: no D^2 x D^2 exponential
     dim = 16
     sizes = []
+    stacked_expm = state_engine.expm
 
     def recording_expm(m):
-        sizes.append(m.shape[0])
-        return expm(m)
+        assert m.shape[-1] == m.shape[-2]
+        sizes.append(m.shape[-1])
+        return stacked_expm(m)
 
     monkeypatch.setattr(state_engine, "expm", recording_expm)
     _, _, table, ints, factors = _homodyne_factors(1.0, 0.3, 0.7, 1e-3, 0.3,
@@ -473,15 +477,18 @@ def test_single_mode_engine_build_forms_no_lift(monkeypatch):
     def no_lifts(*args, **kwargs):
         raise AssertionError("the one-mode engine built a D^2 x D^2 lift")
 
+    stacked_expm = state_engine.expm
+
     def recording_expm(m):
         shapes.append(m.shape)
-        return expm(m)
+        return stacked_expm(m)
 
     monkeypatch.setattr(state_engine, "evolution_superoperators", no_lifts)
     monkeypatch.setattr(state_engine, "expm", recording_expm)
     blocks, records = _cool_homodyne_records(range(3))
     engine = EnsemblePropagator.from_blocks(blocks, dim)
-    assert shapes and all(len(s) == 2 and max(s) <= dim for s in shapes)
+    # the trailing (n, n) of each, possibly stacked, call
+    assert shapes and all(s[-1] == s[-2] <= dim for s in shapes)
     engine.evolve_records(coherent_state(1, dim, 0.2), records)
 
 

@@ -242,6 +242,34 @@ def test_uncoupled_spec_gives_zero_integrals():
         assert not np.any(got)
 
 
+def test_finiteness_check_holds_no_record_sized_temporary():
+    # the record-summary ensemble: 1000 records of 2000 steps, 6 currents
+    y = np.zeros((1000, 2000, 6))
+    tracemalloc.start()
+    try:
+        trajectory.checked_currents(y, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["last chunk", "uncoupled column"])
+def test_non_finite_current_anywhere_is_rejected(homodyne_pipeline, bad, where):
+    _, rep, nc = homodyne_pipeline
+    n_traj, steps = 40, 5000         # four finiteness chunks of 1638 steps
+    uncoupled = np.flatnonzero(~np.any(nc.W_l != 0, axis=1)
+                               & ~np.any(nc.W_r != 0, axis=1))
+    y = np.zeros((n_traj, steps, 4))
+    if where == "last chunk":
+        y[-1, -1, 0] = bad
+    else:
+        y[7, 100, uncoupled[0]] = bad
+    with pytest.raises(ValueError, match="non-finite entries"):
+        accumulate_integrals_ensemble(BlockTable(rep, 1e-3, steps), nc, y)
+
+
 def test_accumulation_memory_stays_within_chunk_budget(homodyne_pipeline):
     _, rep, nc = homodyne_pipeline
     optomech = _optomech()
