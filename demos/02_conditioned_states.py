@@ -8,7 +8,6 @@ linear equation converges to it as dt shrinks.
 
 from lintraj import (
     BlockTable,
-    EvolutionFactors,
     accumulate_integrals,
     apply_evolution,
     builtin_homodyne_thermal,
@@ -36,8 +35,8 @@ for seed in range(4):
     record = sample_ostensible_record(spec, dt, t_final, seed=seed)
     table = BlockTable(rep, dt, record.steps)
     ints = accumulate_integrals(table, couplings, record)
-    factors = EvolutionFactors.from_blocks(table.final_blocks(), ints)
-    state, _ = normalize_and_trace(apply_evolution(rho0, factors))
+    state, _ = normalize_and_trace(apply_evolution(rho0, table.final_blocks(),
+                                                   ints))
     oracle, _ = normalize_and_trace(integrate_linear_sme(spec, rho0, record))
     print(f"  seed {seed}    {trace_distance(state.rho, oracle.rho):.2e}"
           f"    {state.purity():.6f}   {expectation(state, num).real:.6f}"

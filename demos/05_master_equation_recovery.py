@@ -10,16 +10,18 @@ import numpy as np
 
 from lintraj import (
     BlockTable,
+    EvolutionFactors,
+    TrajectoryIntegrals,
     accumulate_integrals_ensemble,
     builtin_homodyne_thermal,
     coherent_state,
     compute_generator,
     compute_noise_couplings,
+    expectation,
     fock_operators,
     integrate_me,
     rep_of_generator,
 )
-from lintraj.lie_rep import normal_order_linear, reordering_scalar
 from lintraj.state_engine import EnsemblePropagator
 
 gamma, K, eta = 1.0, 0.3, 0.7
@@ -31,13 +33,11 @@ rep = rep_of_generator(compute_generator(spec))
 couplings = compute_noise_couplings(spec)
 steps = int(round(t_final / dt))
 table = BlockTable(rep, dt, steps)
-blocks = table.final_blocks()
-propagator = EnsemblePropagator.from_blocks(blocks, dim)
+engine = EnsemblePropagator(EvolutionFactors.from_blocks(table.final_blocks()),
+                            dim)
 
 rho0 = coherent_state(1, dim, alpha0)
-v0 = rho0.rho.reshape(-1, order="F")
 _, _, num = fock_operators(dim)
-tr_num = num.T.reshape(-1, order="F")
 
 rng = np.random.default_rng(1)
 mask = spec.monitored
@@ -45,12 +45,11 @@ y = np.zeros((n_traj, steps, 2 * spec.n_channels))
 y[:, :, mask] = rng.normal(size=(n_traj, steps, int(mask.sum()))) / np.sqrt(dt)
 l_ens, r_ens, h_ens = accumulate_integrals_ensemble(table, couplings, y)
 
-samples = np.empty(n_traj)
-for k in range(n_traj):
-    l_u, r_u = normal_order_linear(blocks, l_ens[k], r_ens[k])
-    sigma = reordering_scalar(blocks, r_ens[k])
-    v = propagator.propagate_vec(v0, l_u[:1], r_u[:1], sigma)
-    samples[k] = np.real(np.exp(h_ens[k]) * (tr_num @ v))
+integrals = [TrajectoryIntegrals(n_modes=1, t=t_final, l_prime=l, r_prime=r, h=h)
+             for l, r, h in zip(l_ens, r_ens, h_ens)]
+states = engine.evolve_records(rho0, integrals)
+samples = np.array([np.real(np.exp(ints.h) * expectation(state, num))
+                    for state, ints in zip(states, integrals)])
 
 me_state = integrate_me(spec, rho0, t_final, dt=1e-3)
 want = np.real(np.trace(num @ me_state.rho))

@@ -38,8 +38,9 @@ from .povm import (
 )
 from .state_engine import (
     EnsemblePropagator,
+    EvolutionFactors,
     FockDensityMatrix,
-    apply_evolution,  # noqa: F401  (bound here for perfbench's layer tracer)
+    apply_evolution,
     coherent_state,
     expectation,
     fock_operators,
@@ -201,7 +202,8 @@ def cmd_simulate(args) -> int:
     table, couplings = _pipeline_for(spec, args.dt, steps)
     blocks = table.final_blocks()
     lpp_full = povm_blocks(blocks)
-    engine = EnsemblePropagator.from_blocks(blocks, args.fock_dim)
+    engine = EnsemblePropagator(EvolutionFactors.from_blocks(blocks),
+                                args.fock_dim)
     a_op, _, n_op = fock_operators(args.fock_dim)
 
     seeds = np.random.SeedSequence(args.seed).spawn(args.trajectories)
@@ -314,6 +316,8 @@ def cmd_povm(args) -> int:
     record, blocks, effect = _effect_from_args(args, spec)
     payload = {"effect": effect_to_json(effect), "t": blocks.t,
                "flat": effect.is_flat}
+    # printed once the output is written: a failed run prints its error alone
+    notes = []
 
     builtin = cfg.get("builtin", {})
     if builtin.get("name") == "homodyne_thermal":
@@ -324,7 +328,7 @@ def cmd_povm(args) -> int:
                     abs(effect.Lpp_breve[0, 0] - lb_cf),
                     abs(effect.d[0] - d_cf))
         payload["closed_form_residual"] = float(resid)
-        print(f"homodyne closed-form residual: {_fmt(float(resid))}")
+        notes.append(f"homodyne closed-form residual: {_fmt(float(resid))}")
     if builtin.get("name") == "optomech_squeezing":
         p = builtin["params"]
         mu_eff = p["mu"] * p["eta"]
@@ -332,9 +336,10 @@ def cmd_povm(args) -> int:
         cf = optomech_closed_form(mu_eff, p["gamma"], K, p["chi"], blocks.t)
         payload["sigma_x2"] = cf.sigma_x2
         payload["sigma_p2"] = cf.sigma_p2
-        print(f"sigma_x^2 = {_fmt(cf.sigma_x2)}  sigma_p^2 = {_fmt(cf.sigma_p2)}")
+        notes.append(f"sigma_x^2 = {_fmt(cf.sigma_x2)}  "
+                     f"sigma_p^2 = {_fmt(cf.sigma_p2)}")
     if effect.is_flat:
-        print("effect is flat (no measurement information)")
+        notes.append("effect is flat (no measurement information)")
     if args.retrodict is not None:
         posterior = retrodict_posterior(effect, **prior)
         payload["posterior"] = {
@@ -345,7 +350,7 @@ def cmd_povm(args) -> int:
         }
     out = args.out or "povm.json"
     _write_json(out, payload, stamp)
-    print(f"wrote {out}")
+    print("\n".join(notes + [f"wrote {out}"]))
     return 0
 
 
@@ -400,9 +405,7 @@ def cmd_compare(args) -> int:
     manifest, stamp = _manifest(args, cfg)
     record, blocks, ints = _integrals_from_args(args, spec)
     rho0 = _initial_state(args.initial, spec.n_modes, args.fock_dim)
-    engine = EnsemblePropagator.from_blocks(blocks, args.fock_dim)
-    normalized, trace = normalize_and_trace(
-        engine.evolve_records(rho0, [ints])[0])
+    normalized, trace = normalize_and_trace(apply_evolution(rho0, blocks, ints))
     oracle = integrate_linear_sme(spec, rho0, record)
     onorm, otrace = normalize_and_trace(oracle)
     tdist = trace_distance(normalized.rho, onorm.rho)
@@ -426,14 +429,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "bosonic modes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, record=False):
+    def common(p, record=False, seed=True, state=True):
         p.add_argument("--config", required=True, help="system config JSON")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--dt", type=float, default=1e-3)
         p.add_argument("--t-final", dest="t_final", type=float, default=1.0)
-        p.add_argument("--fock-dim", dest="fock_dim", type=int, default=20)
-        p.add_argument("--initial", default="vacuum",
-                       help="vacuum | coherent:z[,z2..] | fock:n[,n2..] | file:path")
+        if state:
+            p.add_argument("--fock-dim", dest="fock_dim", type=int, default=20)
+            p.add_argument("--initial", default="vacuum",
+                           help="vacuum | coherent:z[,z2..] | fock:n[,n2..] "
+                                "| file:path")
         p.add_argument("--out", default=None)
         if record:
             p.add_argument("--record", default=None,
@@ -450,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate, out_required=True)
 
     p = sub.add_parser("povm", help="effect operator of the compiled measurement")
-    common(p, record=True)
+    common(p, record=True, state=False)
     p.add_argument("--retrodict", nargs="?", const="flat", default=None,
                    metavar="PRIOR",
                    help="emit the posterior; optional Gaussian prior as "
@@ -459,11 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_povm)
 
     p = sub.add_parser("adjoint", help="backward filter and POVM crosscheck")
-    common(p, record=True)
+    common(p, record=True, state=False)
     p.set_defaults(fn=cmd_adjoint)
 
     p = sub.add_parser("me", help="unconditioned master equation moments")
-    common(p)
+    common(p, seed=False)
     p.set_defaults(fn=cmd_me)
 
     p = sub.add_parser("compare", help="pipeline vs brute-force oracle")
@@ -480,8 +486,14 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except LintrajError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return 2
+        error = exc
+    except OSError as exc:
+        # every input file is read behind a ConfigError, so this is an
+        # output that cannot be written
+        error = ConfigError(f"cannot write {exc.filename or 'an output'}: "
+                            f"{exc.strerror}")
+    print(json.dumps({"error": type(error).__name__, "message": str(error)}))
+    return 2
 
 
 if __name__ == "__main__":

@@ -12,33 +12,34 @@ normal ordered.  Partner-mode (right-multiplication) operators are realized by
 Kronecker lifting onto column-stacked density matrices: A rho B maps to
 (B^T kron A) vec(rho).
 
-All record-independent work lives in :class:`EnsemblePropagator`, the one
-state engine: it disentangles the quadratic part once and keeps the quadratic
-factor exponentials for every record.  The trajectory-dependent linear
-factors commute with the quadratic factors of the same species, so per record
-they are applied on their own, in the same form as every other factor:
-rho -> K rho K^dag with K = exp(sum_i l_i a_i) (or exp(sum_i r_i a_i^dag)),
-a Kronecker product of closed-form triangular D x D matrices
-(:func:`lowering_exp`).  For a single mode every term of a species commutes,
-so each quadratic factor exponential splits into a D x D exponential and a
-superoperator that keeps either every diagonal n - m of rho (the sandwich
-series, written down entry by entry) or every m + n sector (the number
-factor).  Packed two diagonals or two sectors to a block, such a
-superoperator is D blocks of D x D (:class:`SlotOperator`); the two D x D
-exponentials and the D number blocks come from one stacked numpy
-:func:`~lintraj._linalg.expm` call (:func:`single_mode_exponentials`).
-Each acts on the (D^2, S) stack of an ensemble's records as a permutation,
-one batched matmul and the inverse permutation; no D^2 x D^2 matrix is
-formed or exponentiated, and no scipy is imported.  Two or more modes apply
-the sparse quadratic lifts with scipy's ``expm_multiply``, imported on
-first use.  :meth:`EnsemblePropagator.evolve_records` evolves a whole
-ensemble in one call, and :func:`apply_evolution` is a one-record call into
-the engine with the same checks.
+A record enters only through its integrals (l', r', h), so the quadratic
+factors are record-independent: :class:`EvolutionFactors` holds them, and
+:class:`EnsemblePropagator`, the one state engine, keeps their exponentials
+for every record.  The trajectory-dependent linear factors commute with the
+quadratic factors of the same species, so per record they are applied on
+their own, in the same form as every other factor: rho -> K rho K^dag with
+K = exp(sum_i l_i a_i) (or exp(sum_i r_i a_i^dag)), a Kronecker product of
+closed-form triangular D x D matrices (:func:`lowering_exp`).  For a single
+mode every term of a species commutes, so each quadratic factor exponential
+splits into a D x D exponential and a superoperator that keeps either every
+diagonal n - m of rho (the sandwich series, written down entry by entry) or
+every m + n sector (the number factor).  Packed two diagonals or two sectors
+to a block, such a superoperator is D blocks of D x D
+(:class:`SlotOperator`); the two D x D exponentials and the D number blocks
+come from one stacked numpy :func:`~lintraj._linalg.expm` call
+(:func:`single_mode_exponentials`).  Each acts on the (D^2, S) stack of an
+ensemble's records as a permutation, one batched matmul and the inverse
+permutation; no D^2 x D^2 matrix is formed or exponentiated, and no scipy is
+imported.  Two or more modes apply the sparse quadratic lifts with scipy's
+``expm_multiply``, imported on first use.
+:meth:`EnsemblePropagator.evolve_records` evolves, normal-orders and checks
+a whole ensemble in one call; :func:`apply_evolution` is that call for one
+record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import factorial
 
@@ -173,49 +174,41 @@ def coherent_state(n_modes: int, dim: int, alpha) -> FockDensityMatrix:
 
 @dataclass(frozen=True)
 class EvolutionFactors:
-    """Physical-half parameters of the three-factor evolution.
+    """Record-independent half of the three-factor evolution: the
+    disentangled quadratic parameters of ``blocks``, split into their
+    physical and partner halves, and the scalar exponent delta'.  A record's
+    linear coefficients and sigma are normal-ordered against ``blocks``."""
 
-    r_under/l_under are the normal-ordered linear coefficients; the scalar
-    exponent delta' + sigma is everything except the record scalar h."""
-
-    n_modes: int
+    blocks: PropagatorBlocks
     R_prime: np.ndarray
     R_breve: np.ndarray
     D_under: np.ndarray
     D_breve: np.ndarray
     L_prime: np.ndarray
     L_breve: np.ndarray
-    r_under: np.ndarray
-    l_under: np.ndarray
     delta_prime: complex
-    sigma: complex
+
+    @property
+    def n_modes(self) -> int:
+        return self.blocks.n_modes
 
     @classmethod
-    def from_blocks(cls, blocks: PropagatorBlocks,
-                    integrals: TrajectoryIntegrals | None = None) -> "EvolutionFactors":
+    def from_blocks(cls, blocks: PropagatorBlocks) -> "EvolutionFactors":
         n = blocks.n_modes
         dis = disentangle_quadratic(blocks)
-        if integrals is None:
-            l_u = np.zeros(2 * n, dtype=complex)
-            r_u = np.zeros(2 * n, dtype=complex)
-            sigma = 0.0
-        else:
-            l_u, r_u = normal_order_linear(blocks, integrals.l_prime,
-                                           integrals.r_prime)
-            sigma = reordering_scalar(blocks, integrals.r_prime)
         return cls(
-            n_modes=n,
+            blocks=blocks,
             R_prime=dis.R_prime[:n, :n], R_breve=dis.R_prime[:n, n:],
             D_under=dis.D_under[:n, :n], D_breve=dis.D_under[:n, n:],
             L_prime=dis.L_prime[:n, :n], L_breve=dis.L_prime[:n, n:],
-            r_under=r_u[:n], l_under=l_u[:n],
-            delta_prime=dis.delta_prime, sigma=complex(sigma),
+            delta_prime=dis.delta_prime,
         )
 
 
 def evolution_superoperators(factors: EvolutionFactors, dim: int):
-    """(S_ann, S_num, S_cre) sparse lifts; the evolution applies
-    exp(S_cre) exp(S_num) exp(S_ann) together with the scalar exponents.
+    """(S_ann, S_num, S_cre) sparse lifts of the record-independent quadratic
+    factors; the evolution applies exp(S_cre) exp(S_num) exp(S_ann), each
+    with its species' linear factor, together with the scalar exponents.
 
     Each lift combines left action, the Hermiticity-pairing right action, and
     the cross (sandwich) term of its species.  Only the engine for two or
@@ -240,8 +233,6 @@ def evolution_superoperators(factors: EvolutionFactors, dim: int):
 
     x_ann = sp.csr_matrix((d, d), dtype=complex)
     for i in range(n):
-        if factors.l_under[i] != 0:
-            x_ann = x_ann + factors.l_under[i] * a_ops[i]
         for j in range(n):
             if factors.L_prime[i, j] != 0:
                 x_ann = x_ann + factors.L_prime[i, j] * (a_ops[i] @ a_ops[j])
@@ -267,8 +258,6 @@ def evolution_superoperators(factors: EvolutionFactors, dim: int):
 
     x_cre = sp.csr_matrix((d, d), dtype=complex)
     for i in range(n):
-        if factors.r_under[i] != 0:
-            x_cre = x_cre + factors.r_under[i] * ad_ops[i]
         for j in range(n):
             if factors.R_prime[i, j] != 0:
                 x_cre = x_cre + factors.R_prime[i, j] * (ad_ops[i] @ ad_ops[j])
@@ -378,11 +367,11 @@ def _number_generators(d_under: complex, d_breve: complex, dim: int) -> np.ndarr
 
 
 def single_mode_exponentials(factors: EvolutionFactors, dim: int) -> list:
-    """exp(S_ann), exp(S_num), exp(S_cre) of one mode as (K, M) pairs with
-    exp(S) = kron(conj(K), K) @ M, i.e. rho -> K (M rho) K^dag.
+    """exp(S_ann), exp(S_num), exp(S_cre) of one mode's quadratic factors as
+    (K, M) pairs with exp(S) = kron(conj(K), K) @ M, i.e. rho -> K (M rho) K^dag.
 
     Every term of a species commutes with the others.  The annihilation
-    factor is K = exp(L' a^2 + l_u a) with M the terminating sandwich series
+    factor is K = exp(L' a^2) with M the terminating sandwich series
     sum_k (2 L_breve)^k / k! a^k rho a^dag^k; the creation factor is the same
     with a^dag for a; the number factor has K = None and M its sector-block
     exponential.  Each M is a :class:`SlotOperator`: the sandwich series are
@@ -395,8 +384,7 @@ def single_mode_exponentials(factors: EvolutionFactors, dim: int) -> list:
         raise DimensionMismatch("structured exponentials are single-mode only")
     a, ad, _ = fock_operators(dim)
     exps = expm(np.concatenate([
-        [factors.L_prime[0, 0] * (a @ a) + factors.l_under[0] * a,
-         factors.R_prime[0, 0] * (ad @ ad) + factors.r_under[0] * ad],
+        [factors.L_prime[0, 0] * (a @ a), factors.R_prime[0, 0] * (ad @ ad)],
         _number_generators(factors.D_under[0, 0], factors.D_breve[0, 0], dim)]))
     return [(exps[0], _sandwich_operator(2.0 * factors.L_breve[0, 0], dim,
                                          raising=False)),
@@ -467,34 +455,24 @@ class EnsemblePropagator:
     them with scipy's ``expm_multiply``, one record at a time.
 
     :meth:`evolve_records` evolves a whole ensemble in one pass: one
-    normal ordering of the (S, 2N) stack of integrals, one application of
-    the factors, and the finiteness, Hermiticity and tail checks over the
-    stack.  :meth:`propagate_vec` is its unchecked one-record call.
-    ``blocks`` (the propagator blocks the factors came from) is needed only
-    by :meth:`evolve_records`, which normal-orders integrals against them.
+    normal ordering of the (S, 2N) stack of integrals against the factors'
+    blocks, one application of the factors, and the finiteness, Hermiticity
+    and tail checks over the stack.  :meth:`propagate_vec` is its unchecked
+    one-record call on normal-ordered coefficients.
     """
 
-    def __init__(self, factors: EvolutionFactors, dim: int,
-                 blocks: PropagatorBlocks | None = None):
-        n = factors.n_modes
-        base = replace(factors, r_under=np.zeros(n, dtype=complex),
-                       l_under=np.zeros(n, dtype=complex), sigma=0.0)
-        self.n_modes = n
+    def __init__(self, factors: EvolutionFactors, dim: int):
+        self.n_modes = factors.n_modes
         self.dim = dim
-        self.blocks = blocks
+        self.blocks = factors.blocks
         self.delta_prime = factors.delta_prime
-        if n == 1:
-            self._exponentials = tuple(single_mode_exponentials(base, dim))
+        if self.n_modes == 1:
+            self._exponentials = tuple(single_mode_exponentials(factors, dim))
             self._lifts = ()
         else:
             self._exponentials = ()
             self._lifts = tuple(s.tocsc() for s in
-                                evolution_superoperators(base, dim))
-
-    @classmethod
-    def from_blocks(cls, blocks: PropagatorBlocks, dim: int) -> "EnsemblePropagator":
-        """Engine for every record evolved over ``blocks``: disentangles once."""
-        return cls(EvolutionFactors.from_blocks(blocks), dim, blocks=blocks)
+                                evolution_superoperators(factors, dim))
 
     def _linear_factors(self, coeffs: np.ndarray) -> np.ndarray:
         """(..., S, D^N, D^N) stacks of kron_i exp(c_i a) for (..., S, N)
@@ -559,14 +537,6 @@ class EnsemblePropagator:
         return [FockDensityMatrix(n_modes=self.n_modes, dim_per_mode=self.dim,
                                   rho=rho) for rho in R]
 
-    def _check_initial(self, rho0: FockDensityMatrix) -> np.ndarray:
-        """vec(rho0), after checking that rho0 lives on the engine's modes."""
-        if rho0.n_modes != self.n_modes or rho0.dim_per_mode != self.dim:
-            raise DimensionMismatch(
-                f"state has {rho0.n_modes} mode(s) x {rho0.dim_per_mode} "
-                f"levels; engine has {self.n_modes} x {self.dim}")
-        return rho0.rho.reshape(-1, order="F").astype(complex)
-
     def propagate_vec(self, v0: np.ndarray, l_under: np.ndarray,
                       r_under: np.ndarray, sigma: complex) -> np.ndarray:
         """exp(S_cre) exp(S_num) exp(S_ann) on vec(rho0) for one record,
@@ -580,16 +550,18 @@ class EnsemblePropagator:
         """Evolved, unnormalized states of an ensemble's records, in one pass:
         the integrals (l', r') are normal-ordered against the engine's blocks
         as one (S, 2N) stack, and the states evolved and checked as one
-        (D^2N, S) stack.  Each state carries the record-independent scalar
-        exp(delta' + sigma); multiplying by exp(h) then gives the full
+        (D^2N, S) stack.  Each state carries the scalar exp(delta' + sigma)
+        of its record; multiplying by exp(h) then gives the full
         linear-evolution state whose trace weights the record probability.
         A failing record raises an error whose message starts with its
         index."""
-        v0 = self._check_initial(rho0)
+        if rho0.n_modes != self.n_modes or rho0.dim_per_mode != self.dim:
+            raise DimensionMismatch(
+                f"state has {rho0.n_modes} mode(s) x {rho0.dim_per_mode} "
+                f"levels; engine has {self.n_modes} x {self.dim}")
+        v0 = rho0.rho.reshape(-1, order="F").astype(complex)
         if not integrals_list:
             return []
-        if self.blocks is None:
-            raise ValueError("normal ordering needs an engine built from blocks")
         n = self.n_modes
         l_prime = np.array([ints.l_prime for ints in integrals_list])
         r_prime = np.array([ints.r_prime for ints in integrals_list])
@@ -602,22 +574,21 @@ class EnsemblePropagator:
         return self._checked_states(V)
 
 
-def apply_evolution(rho0: FockDensityMatrix,
-                    factors: EvolutionFactors) -> FockDensityMatrix:
-    """Evolved, unnormalized state of one record: a one-record call into
-    :class:`EnsemblePropagator`, checked as
-    :meth:`EnsemblePropagator.evolve_records` checks each record."""
-    engine = EnsemblePropagator(factors, rho0.dim_per_mode)
-    v = engine.propagate_vec(engine._check_initial(rho0), factors.l_under,
-                             factors.r_under, factors.sigma)
-    return engine._checked_states(v[:, None])[0]
+def apply_evolution(rho0: FockDensityMatrix, blocks: PropagatorBlocks,
+                    integrals: TrajectoryIntegrals) -> FockDensityMatrix:
+    """Evolved, unnormalized state of one record over ``blocks``:
+    :meth:`EnsemblePropagator.evolve_records` on that record alone."""
+    engine = EnsemblePropagator(EvolutionFactors.from_blocks(blocks),
+                                rho0.dim_per_mode)
+    return engine.evolve_records(rho0, [integrals])[0]
 
 
 def normalize_and_trace(state: FockDensityMatrix) -> tuple[FockDensityMatrix, float]:
     """(state / trace, trace).
 
-    For a state evolved by :func:`apply_evolution`, which carries the scalar
-    exp(delta' + sigma), trace * exp(Re h) * (reference record density) is the
+    For a state evolved by :meth:`EnsemblePropagator.evolve_records` (or
+    :func:`apply_evolution`), which carries the scalar exp(delta' + sigma)
+    of its record, trace * exp(Re h) * (reference record density) is the
     physical record probability density.
     """
     tr = state.trace()

@@ -28,6 +28,8 @@ _STREAM_CHUNK = 2 ** 16
 # rows per formatted block of record_to_csv: ~0.3 MB of transient Python
 # floats and text at 2L = 4, far below the peak memory of any command
 _CSV_BLOCK = 1024
+# relative bound on the conjugate-pairing residual of (l', r')
+PAIRING_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -65,18 +67,19 @@ class TrajectoryIntegrals:
     r_prime: np.ndarray
     h: complex
 
-    def check_pairing(self, tol: float = 1e-10) -> None:
-        """CrossCheckFailure unless each second half of l' and r' is the
-        conjugate of its first half to ``tol`` relative: the halves are two
-        routes to one conjugate pair."""
+    def check_pairing(self) -> float:
+        """The relative residual by which the second half of l' or r' misses
+        the conjugate of its first half; CrossCheckFailure beyond
+        ``PAIRING_TOL``: the halves are two routes to one conjugate pair."""
         n = self.n_modes
         scale = max(1.0, np.abs(self.l_prime).max(), np.abs(self.r_prime).max())
         resid = max(np.abs(v[n:] - v[:n].conj()).max(initial=0.0)
                     for v in (self.l_prime, self.r_prime)) / scale
-        if not resid <= tol:
+        if not resid <= PAIRING_TOL:
             raise CrossCheckFailure(f"integrals violate conjugate pairing: "
                                     f"relative residual {resid:.3e} exceeds "
-                                    f"the bound {tol:.0e}")
+                                    f"the bound {PAIRING_TOL:.0e}")
+        return float(resid)
 
 
 def sample_ostensible_record(spec: SystemSpec, dt: float, t_final: float,
@@ -329,20 +332,23 @@ def record_to_csv(record: MeasurementRecord, path: str, header_comment: str = ""
 
 def record_from_csv(path: str) -> MeasurementRecord:
     """Read a :func:`record_to_csv` file.  dt is the spacing of its ``t``
-    column.  ConfigError on a malformed file: no leading ``t`` column, ragged
-    or non-numeric rows, a non-finite cell, fewer than two rows, or a ``t``
-    column that is not increasing and uniformly spaced."""
-    with open(path) as fh:
-        header = next((line for line in fh if not line.startswith("#")), "")
-        if header.strip().split(",")[0] != "t":
-            raise ConfigError(f"record CSV {path} must start with a 't' column")
-        try:
+    column.  ConfigError on a file that cannot be read or decoded, or a
+    malformed one: no leading ``t`` column, ragged or non-numeric rows, a
+    non-finite cell, fewer than two rows, or a ``t`` column that is not
+    increasing and uniformly spaced."""
+    try:
+        with open(path) as fh:
+            header = next((line for line in fh if not line.startswith("#")), "")
+            if header.strip().split(",")[0] != "t":
+                raise ConfigError(f"record CSV {path} must start with a 't' column")
             # loadtxt warns on an empty body; that case is raised below
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ConfigError(f"malformed record CSV {path}: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read record CSV {path}: {exc.strerror}") from None
+    except ValueError as exc:     # a parse error or UnicodeDecodeError
+        raise ConfigError(f"malformed record CSV {path}: {exc}") from None
     if len(data) < 2:
         raise ConfigError(f"record CSV {path} needs at least two data rows "
                           f"to fix dt, has {len(data)}")

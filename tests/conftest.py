@@ -20,6 +20,7 @@ from lintraj.adjoint_kalman import (
 from lintraj.errors import DimensionMismatch, LogBranchFailure
 from lintraj.lie_rep import (
     flip,
+    normal_order_linear,
     propagator_blocks,
     reordering_scalar,
     rep_of_generator,
@@ -34,6 +35,7 @@ from lintraj.parameterization import (
 from lintraj.state_engine import (
     EvolutionFactors,
     FockDensityMatrix,
+    _mode_lowering,
     evolution_superoperators,
     fock_operators,
 )
@@ -105,21 +107,41 @@ def rng():
     return np.random.default_rng(20260808)
 
 
-def dense_evolution(rho0, factors):
-    """Test oracle: the unnormalized evolved state from dense expm of each
-    full D^2N x D^2N species lift (quadratic and linear parts together),
-    times exp(delta' + sigma).  Meant for one mode, or two at a small D; the
-    engine never builds these exponentials."""
+def record_terms(blocks, ints):
+    """(l_u, r_u, sigma) of one record: the physical halves of its
+    normal-ordered linear coefficients, and its reordering scalar."""
+    n = blocks.n_modes
+    l_u, r_u = normal_order_linear(blocks, ints.l_prime, ints.r_prime)
+    return l_u[:n], r_u[:n], reordering_scalar(blocks, ints.r_prime)
+
+
+def dense_evolution(rho0, factors, l_u, r_u, sigma):
+    """Test oracle: the unnormalized state of one record from dense expm of
+    each full D^2N x D^2N species lift, times exp(delta' + sigma).  The
+    record's linear terms l_u . a and r_u . a^dag join the quadratic lifts
+    of their species before the exponential, so the oracle does not rely on
+    the engine's split of commuting factors.  Meant for one mode, or two at a
+    small D; the engine never builds these exponentials."""
+    eye = np.eye(rho0.rho.shape[0])
+    a_ops = _mode_lowering(rho0.n_modes, rho0.dim_per_mode)
+
+    def lift(x):     # rho -> x rho + rho x^dag on column-stacked vec(rho)
+        return np.kron(eye, x) + np.kron(x.conj(), eye)
+
+    linear = (lift(sum(c * a for c, a in zip(l_u, a_ops))), 0.0,
+              lift(sum(c * a.T for c, a in zip(r_u, a_ops))))
     v = rho0.rho.reshape(-1, order="F").astype(complex)
-    for s in evolution_superoperators(factors, rho0.dim_per_mode):
-        v = expm(s.toarray()) @ v
-    v = v * np.exp(factors.delta_prime + factors.sigma)
+    for s, lin in zip(evolution_superoperators(factors, rho0.dim_per_mode),
+                      linear):
+        v = expm(s.toarray() + lin) @ v
+    v = v * np.exp(factors.delta_prime + sigma)
     return v.reshape(rho0.rho.shape, order="F")
 
 
 def random_single_mode_factors(rng, t=0.5):
-    """EvolutionFactors of a random single-mode system at time t, with random
-    nonzero normal-ordered linear coefficients and sigma.
+    """(factors, l_u, r_u, sigma): the EvolutionFactors of a random
+    single-mode system at time t, and random nonzero normal-ordered linear
+    coefficients and sigma of one record.
 
     The generator comes from a random physical system (``random_spec``), not
     from ``random_generator``: unphysical generators can make exp(S) span
@@ -133,8 +155,8 @@ def random_single_mode_factors(rng, t=0.5):
     def cpx():
         return np.array([complex(rng.normal(), rng.normal())])
 
-    return replace(factors, l_under=cpx(), r_under=cpx(),
-                   sigma=complex(0.1 * rng.normal(), 0.1 * rng.normal()))
+    return (factors, cpx(), cpx(),
+            complex(0.1 * rng.normal(), 0.1 * rng.normal()))
 
 
 def overflowing_integrals(blocks, ints):
@@ -517,10 +539,11 @@ def to_fock_form(spec):
                         F=X.conj().T @ spec.G @ X, Z=spec.C @ X, M=spec.M)
 
 
-def apply_evolution_power_series(rho0, factors):
+def apply_evolution_power_series(rho0, factors, l_u, r_u, sigma):
     """Single-mode reference for ``apply_evolution``: expand the partner-mode
-    couplings of the fully normal-ordered evolution as a quadruple power
-    series, truncated at total order 4 * dim."""
+    couplings of the fully normal-ordered evolution of one record (linear
+    coefficients l_u, r_u and scalar sigma) as a quadruple power series,
+    truncated at total order 4 * dim."""
     if rho0.n_modes != 1:
         raise DimensionMismatch("power-series route is single-mode only")
     dim = rho0.dim_per_mode
@@ -536,7 +559,7 @@ def apply_evolution_power_series(rho0, factors):
     r_p, rb_p = factors.R_prime[0, 0], factors.R_breve[0, 0]
     lb_p = factors.L_breve[0, 0]
     l_p = factors.L_prime[0, 0]
-    r_u, l_u = factors.r_under[0], factors.l_under[0]
+    r_u, l_u = r_u[0], l_u[0]
 
     e_cre = expm(r_u * ad + r_p * (ad @ ad))
     e_num = expm(np.log(1.0 + d_pr) * (ad @ a))
@@ -568,7 +591,7 @@ def apply_evolution_power_series(rho0, factors):
                             @ ad_pow[j + k] @ right_core @ a_pow[n + m])
                     rho += coeff * term
     return FockDensityMatrix(n_modes=1, dim_per_mode=dim,
-                             rho=rho * np.exp(factors.delta_prime + factors.sigma))
+                             rho=rho * np.exp(factors.delta_prime + sigma))
 
 
 def sequential_powers(rep, dt, steps):

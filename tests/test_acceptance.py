@@ -211,8 +211,8 @@ def test_criterion_05_oracle_equivalence(initial):
         rec = MeasurementRecord(dt=dt, y=y)
         table = BlockTable(rep, dt, steps)
         ints = accumulate_integrals(table, nc, rec)
-        factors = EvolutionFactors.from_blocks(table.final_blocks(), ints)
-        pipeline, _ = normalize_and_trace(apply_evolution(rho0, factors))
+        pipeline, _ = normalize_and_trace(apply_evolution(
+            rho0, table.final_blocks(), ints))
         oracle, _ = normalize_and_trace(integrate_linear_sme(spec, rho0, rec))
         return trace_distance(pipeline.rho, oracle.rho)
 
@@ -241,8 +241,7 @@ def test_criterion_06_master_equation_recovery():
     steps = int(round(t_final / dt))
     table = BlockTable(rep, dt, steps)
     blocks = table.final_blocks()
-    base = EvolutionFactors.from_blocks(blocks)
-    prop = EnsemblePropagator(base, D)
+    prop = EnsemblePropagator(EvolutionFactors.from_blocks(blocks), D)
     _, _, nop = fock_operators(D)
     tr_n = nop.T.reshape(-1, order="F")   # Tr[n rho] = vec(n^T) . vec(rho)
     v0 = rho0.rho.reshape(-1, order="F")

@@ -229,7 +229,7 @@ def test_simulate_matches_dense_per_record_route(homodyne_config, tmp_path):
     # applied to the same record's integrals
     import numpy as np
 
-    from conftest import dense_evolution
+    from conftest import dense_evolution, record_terms
     from lintraj.lie_rep import rep_of_generator
     from lintraj.parameterization import compute_generator
     from lintraj.state_engine import (
@@ -251,6 +251,7 @@ def test_simulate_matches_dense_per_record_route(homodyne_config, tmp_path):
     spec = builtin_homodyne_thermal(1.0, 0.2, 0.8)
     blocks = BlockTable(rep_of_generator(compute_generator(spec)), dt,
                         steps).final_blocks()
+    factors = EvolutionFactors.from_blocks(blocks)
     rho0 = coherent_state(1, dim, 0.4)
     payload = json.loads((out / "integrals.json").read_text())
     for i, entry in enumerate(payload["trajectories"]):
@@ -259,9 +260,9 @@ def test_simulate_matches_dense_per_record_route(homodyne_config, tmp_path):
             l_prime=np.array(entry["l_prime_re"]) + 1j * np.array(entry["l_prime_im"]),
             r_prime=np.array(entry["r_prime_re"]) + 1j * np.array(entry["r_prime_im"]),
             h=complex(entry["h_re"], entry["h_im"]))
-        factors = EvolutionFactors.from_blocks(blocks, ints)
         want, _ = normalize_and_trace(FockDensityMatrix(
-            n_modes=1, dim_per_mode=dim, rho=dense_evolution(rho0, factors)))
+            n_modes=1, dim_per_mode=dim,
+            rho=dense_evolution(rho0, factors, *record_terms(blocks, ints))))
         state = json.loads((out / "states" / f"traj_{i:04d}.json").read_text())
         got = (np.array(state["rho_re"])
                + 1j * np.array(state["rho_im"])).reshape(dim, dim)
@@ -518,6 +519,10 @@ MALFORMED_RECORDS = {
     "non-finite": "t,y_1,y_2,y_3,y_4\n0,0,0,0,0\n0.001,nan,0,0,0\n",
     "non-uniform t": ("t,y_1,y_2,y_3,y_4\n0,0,0,0,0\n0.001,0,0,0,0\n"
                       "0.005,0,0,0,0\n"),
+    # files that cannot be opened or decoded
+    "missing": None,
+    "directory": None,
+    "non-UTF-8": b"t,y_1,y_2,y_3,y_4\n0,0,0,0,0\n\xff\xfe,0,0,0,0\n",
 }
 
 
@@ -526,13 +531,45 @@ MALFORMED_RECORDS = {
 def test_malformed_record_csv_is_a_config_error(homodyne_config, tmp_path,
                                                 capsys, command, case):
     record = tmp_path / "record.csv"
-    record.write_text(MALFORMED_RECORDS[case])
+    content = MALFORMED_RECORDS[case]
+    if case == "directory":
+        record.mkdir()
+    elif content is not None:
+        record.write_bytes(content if isinstance(content, bytes)
+                           else content.encode())
     assert main([command, "--config", homodyne_config, "--record", str(record),
                  "--out", str(tmp_path / "out")]) == 2
-    out = capsys.readouterr().out.strip().splitlines()
-    assert len(out) == 1
-    assert json.loads(out[0])["error"] == "ConfigError"
+    error = _one_error_line(capsys)
+    assert error["error"] == "ConfigError"
+    assert str(record) in error["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("parent", ["missing directory", "file"])
+def test_unwritable_out_is_a_config_error(homodyne_config, tmp_path, capsys,
+                                          parent):
+    # --out under a directory that does not exist, or under a file
+    base = tmp_path / "base"
+    if parent == "file":
+        base.write_text("not a directory\n")
+    out = base / "povm.json"
+    assert main(["povm", "--config", homodyne_config, "--t-final", "0.05",
+                 "--out", str(out)]) == 2
+    error = _one_error_line(capsys)
+    assert error["error"] == "ConfigError"
+    assert str(out) in error["message"]
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["base", "homodyne.json"] if parent == "file" else ["homodyne.json"])
+
+
+def test_flags_a_command_does_not_read_are_rejected(homodyne_config, tmp_path):
+    # povm builds no Fock-space state, so --fock-dim is not one of its flags
+    with pytest.raises(SystemExit) as exc:
+        main(["povm", "--config", homodyne_config, "--fock-dim", "8",
+              "--out", str(tmp_path / "povm.json")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "povm.json").exists()
 
 
 def test_adjoint_command_sweeps_once(homodyne_config, tmp_path, monkeypatch):
@@ -625,7 +662,9 @@ def test_long_record_pairing_failure_is_a_crosscheck_failure(
     # at t = 30 the two halves of l' and r' drift apart beyond the pairing
     # bound; the failure is named, not a ValueError traceback
     argv = [command, "--config", homodyne_config, "--t-final", "30",
-            "--dt", "1e-2", "--fock-dim", "8", "--out", str(tmp_path / "out")]
+            "--dt", "1e-2", "--out", str(tmp_path / "out")]
+    if command == "simulate":
+        argv += ["--fock-dim", "8"]
     assert main(argv) == 2
     error = _one_error_line(capsys)
     assert error["error"] == "CrossCheckFailure"
@@ -658,7 +697,10 @@ def test_record_too_large_for_the_floats_is_named(homodyne_config, tmp_path,
     rows = [f"{j * 1e-3!r},{(-1) ** j * 1e300!r},0,0,0" for j in range(200)]
     record.write_text("t,y_1,y_2,y_3,y_4\n" + "\n".join(rows) + "\n")
     out = tmp_path / "out"
-    assert main([command, "--config", homodyne_config, "--record", str(record),
-                 "--fock-dim", "8", "--out", str(out)]) == 2
+    argv = [command, "--config", homodyne_config, "--record", str(record),
+            "--out", str(out)]
+    if command == "compare":
+        argv += ["--fock-dim", "8"]
+    assert main(argv) == 2
     assert _one_error_line(capsys)["error"] == "MatrixExpFailure"
     assert not out.exists()

@@ -37,7 +37,7 @@ def _riccati_steps():
 
 def _number_sectors():
     # the engine's number-factor blocks at D = 20, two m + n sectors each
-    f = random_single_mode_factors(np.random.default_rng(3))
+    f, *_ = random_single_mode_factors(np.random.default_rng(3))
     return [_number_generators(f.D_under[0, 0], f.D_breve[0, 0], 20)]
 
 
@@ -47,9 +47,9 @@ def _nilpotent_factors():
     a, ad, _ = fock_operators(20)
     out = []
     for _ in range(3):
-        f = random_single_mode_factors(rng)
-        out += [f.L_prime[0, 0] * (a @ a) + f.l_under[0] * a,
-                f.R_prime[0, 0] * (ad @ ad) + f.r_under[0] * ad]
+        f, l_u, r_u, _ = random_single_mode_factors(rng)
+        out += [f.L_prime[0, 0] * (a @ a) + l_u[0] * a,
+                f.R_prime[0, 0] * (ad @ ad) + r_u[0] * ad]
     return out
 
 

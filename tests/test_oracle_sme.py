@@ -110,7 +110,7 @@ def test_strong_convergence_order_at_least_half():
     # Brownian path, coarse-grained consistently
     from lintraj.lie_rep import rep_of_generator
     from lintraj.parameterization import compute_generator, compute_noise_couplings
-    from lintraj.state_engine import EvolutionFactors, apply_evolution
+    from lintraj.state_engine import apply_evolution
     from lintraj.trajectory import BlockTable, accumulate_integrals
 
     spec = builtin_homodyne_thermal(1.0, 0.2, 0.8)
@@ -132,8 +132,8 @@ def test_strong_convergence_order_at_least_half():
         euler = normalize_and_trace(integrate_linear_sme(spec, rho0, rec))[0]
         table = BlockTable(rep, dt, steps)
         ints = accumulate_integrals(table, nc, rec)
-        factors = EvolutionFactors.from_blocks(table.final_blocks(), ints)
-        exact = normalize_and_trace(apply_evolution(rho0, factors))[0]
+        exact = normalize_and_trace(apply_evolution(rho0, table.final_blocks(),
+                                                    ints))[0]
         return trace_distance(euler.rho, exact.rho)
 
     e_coarse, e_fine = err(16), err(1)

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -6,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
 
 from lintraj import state_engine
 from lintraj.errors import DimensionMismatch, MatrixExpFailure, ZeroTrace
@@ -34,6 +32,7 @@ from lintraj.state_engine import (
 from lintraj.system import SystemSpec, builtin_homodyne_thermal, validate_spec
 from lintraj.trajectory import (
     BlockTable,
+    TrajectoryIntegrals,
     accumulate_integrals,
     sample_ostensible_record,
 )
@@ -44,6 +43,7 @@ from conftest import (
     overflowing_integrals,
     random_single_mode_factors,
     random_spec,
+    record_terms,
 )
 
 
@@ -89,30 +89,30 @@ def test_initial_states_check_modes_and_levels(make):
         make()
 
 
-def _homodyne_factors(gamma, K, eta, dt, t_final, seed):
+def _homodyne_record(gamma, K, eta, dt, t_final, seed):
+    """(spec, record, block table, integrals) of one ostensible record."""
     spec = builtin_homodyne_thermal(gamma, K, eta)
     rep = rep_of_generator(compute_generator(spec))
     nc = compute_noise_couplings(spec)
     rec = sample_ostensible_record(spec, dt, t_final, seed=seed)
     table = BlockTable(rep, dt, rec.steps)
-    ints = accumulate_integrals(table, nc, rec)
-    return spec, rec, table, ints, EvolutionFactors.from_blocks(
-        table.final_blocks(), ints)
+    return spec, rec, table, accumulate_integrals(table, nc, rec)
 
 
 def test_identity_factors_leave_state_unchanged():
     spec = builtin_homodyne_thermal(1.0, 0.4, 0.6)
     blocks = propagator_blocks(rep_of_generator(compute_generator(spec)), 0.0)
-    factors = EvolutionFactors.from_blocks(blocks)
+    empty = TrajectoryIntegrals(n_modes=1, t=0.0, l_prime=np.zeros(2, complex),
+                                r_prime=np.zeros(2, complex), h=0j)
     rho0 = coherent_state(1, 12, 0.4)
-    out = apply_evolution(rho0, factors)
+    out = apply_evolution(rho0, blocks, empty)
     assert np.abs(out.rho - rho0.rho).max() < 1e-12
 
 
 def test_pure_unravelling_preserves_purity():
-    _, _, _, _, factors = _homodyne_factors(1.0, 0.0, 1.0, 1e-3, 1.0, seed=5)
+    _, _, table, ints = _homodyne_record(1.0, 0.0, 1.0, 1e-3, 1.0, seed=5)
     rho0 = coherent_state(1, 30, 0.7)
-    evolved = apply_evolution(rho0, factors)
+    evolved = apply_evolution(rho0, table.final_blocks(), ints)
     normalized, _ = normalize_and_trace(evolved)
     assert abs(normalized.purity() - 1.0) < 1e-6
     evolved.check_hermitian()
@@ -120,20 +120,21 @@ def test_pure_unravelling_preserves_purity():
 
 
 def test_power_series_route_matches_superoperators():
-    _, _, _, _, factors = _homodyne_factors(0.8, 0.4, 0.6, 1e-3, 0.3, seed=8)
+    _, _, table, ints = _homodyne_record(0.8, 0.4, 0.6, 1e-3, 0.3, seed=8)
+    blocks = table.final_blocks()
     rho0 = vacuum_state(1, 14)
-    superop = apply_evolution(rho0, factors)
-    series = apply_evolution_power_series(rho0, factors)
+    superop = apply_evolution(rho0, blocks, ints)
+    series = apply_evolution_power_series(rho0, EvolutionFactors.from_blocks(
+        blocks), *record_terms(blocks, ints))
     assert np.abs(superop.rho - series.rho).max() < 1e-8
 
 
 def test_truncation_refinement_stability():
-    spec, rec, table, ints, factors = _homodyne_factors(1.0, 0.3, 0.7, 1e-3,
-                                                        0.5, seed=9)
+    _, _, table, ints = _homodyne_record(1.0, 0.3, 0.7, 1e-3, 0.5, seed=9)
     moments = []
     for D in (16, 32):
         rho0 = coherent_state(1, D, 0.5)
-        evolved = apply_evolution(rho0, factors)
+        evolved = apply_evolution(rho0, table.final_blocks(), ints)
         normalized, _ = normalize_and_trace(evolved)
         _, _, nop = fock_operators(D)
         moments.append(float(np.real(expectation(normalized, nop))))
@@ -145,10 +146,10 @@ def test_vacuum_weight_matches_oracle_trace():
     # one, and the scalar bookkeeping (delta', sigma, h) must reproduce that
     from lintraj.oracle_sme import integrate_linear_sme
 
-    spec, rec, table, ints, factors = _homodyne_factors(1.0, 0.0, 1.0, 1e-4,
-                                                        0.5, seed=3)
+    spec, rec, table, ints = _homodyne_record(1.0, 0.0, 1.0, 1e-4, 0.5, seed=3)
     rho0 = vacuum_state(1, 10)
-    _, trace = normalize_and_trace(apply_evolution(rho0, factors))
+    _, trace = normalize_and_trace(apply_evolution(rho0, table.final_blocks(),
+                                                   ints))
     weight = trace * np.exp(np.real(ints.h))
     oracle = integrate_linear_sme(spec, rho0, rec)
     otrace = float(np.real(np.trace(oracle.rho)))
@@ -201,9 +202,8 @@ def test_two_mode_application_against_oracle():
     rec = sample_ostensible_record(spec, 1e-3, 0.4, seed=2)
     table = BlockTable(rep, 1e-3, rec.steps)
     ints = accumulate_integrals(table, nc, rec)
-    factors = EvolutionFactors.from_blocks(table.final_blocks(), ints)
     rho0 = coherent_state(2, 8, [0.4, -0.3])
-    evolved = apply_evolution(rho0, factors)
+    evolved = apply_evolution(rho0, table.final_blocks(), ints)
     normalized, trace = normalize_and_trace(evolved)
     oracle = integrate_linear_sme(spec, rho0, rec)
     onorm, otrace = normalize_and_trace(oracle)
@@ -227,9 +227,9 @@ def test_conditioned_moments_match_forward_filter():
     nc = compute_noise_couplings(spec)
     table = BlockTable(rep, dt, rec.steps)
     ints = accumulate_integrals(table, nc, rec)
-    factors = EvolutionFactors.from_blocks(table.final_blocks(), ints)
     rho0 = coherent_state(1, D, alpha0)
-    normalized, _ = normalize_and_trace(apply_evolution(rho0, factors))
+    normalized, _ = normalize_and_trace(apply_evolution(
+        rho0, table.final_blocks(), ints))
     a, ad, _ = fock_operators(D)
     xop = (a + ad) / np.sqrt(2)
     pop = 1j * (ad - a) / np.sqrt(2)
@@ -246,10 +246,10 @@ def test_conditioned_moments_match_forward_filter():
 
 @pytest.mark.parametrize("dim", [6, 12, 20])
 def test_single_mode_exponentials_match_dense_expm(dim, rng):
-    # each structured (K, M) pair against expm of the full D^2 x D^2 lift,
-    # linear terms included
+    # each structured (K, M) pair against expm of the full D^2 x D^2
+    # quadratic lift
     for _ in range(3):
-        factors = random_single_mode_factors(rng)
+        factors, *_ = random_single_mode_factors(rng)
         dense = [expm(s.toarray()) for s in evolution_superoperators(factors, dim)]
         for (K, M), want in zip(single_mode_exponentials(factors, dim), dense):
             got = M.toarray() if K is None else np.kron(K.conj(), K) @ M.toarray()
@@ -258,19 +258,18 @@ def test_single_mode_exponentials_match_dense_expm(dim, rng):
 
 def test_engine_matches_dense_route(rng):
     for dim in (6, 12, 20):
-        factors = random_single_mode_factors(rng)
+        factors, *_ = random_single_mode_factors(rng)
         engine = EnsemblePropagator(factors, dim)
         rho0 = coherent_state(1, dim, 0.3 - 0.2j)
         for _ in range(3):   # records share the engine
             l_u, r_u = rng.normal(size=(2, 1)) + 1j * rng.normal(size=(2, 1))
-            record = replace(factors, l_under=l_u, r_under=r_u,
-                             sigma=complex(0.1 * rng.normal(), 0.1 * rng.normal()))
+            sigma = complex(0.1 * rng.normal(), 0.1 * rng.normal())
             # random l_u, r_u and a complex sigma need not keep rho Hermitian,
             # so compare the unchecked vector
             got = engine.propagate_vec(rho0.rho.reshape(-1, order="F"),
-                                       record.l_under, record.r_under,
-                                       record.sigma)
-            want = dense_evolution(rho0, record).reshape(-1, order="F")
+                                       l_u, r_u, sigma)
+            want = dense_evolution(rho0, factors, l_u, r_u,
+                                   sigma).reshape(-1, order="F")
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -287,24 +286,36 @@ def test_single_mode_engine_exponentiates_only_small_matrices(monkeypatch):
         return stacked_expm(m)
 
     monkeypatch.setattr(state_engine, "expm", recording_expm)
-    _, _, table, ints, factors = _homodyne_factors(1.0, 0.3, 0.7, 1e-3, 0.3,
-                                                   seed=4)
-    engine = EnsemblePropagator.from_blocks(table.final_blocks(), dim)
+    _, _, table, ints = _homodyne_record(1.0, 0.3, 0.7, 1e-3, 0.3, seed=4)
+    blocks = table.final_blocks()
+    engine = EnsemblePropagator(EvolutionFactors.from_blocks(blocks), dim)
     engine.evolve_records(coherent_state(1, dim, 0.4), [ints])
-    apply_evolution(coherent_state(1, dim, 0.4), factors)
+    apply_evolution(coherent_state(1, dim, 0.4), blocks, ints)
     assert sizes and max(sizes) <= dim
 
 
-def test_evolve_records_match_apply_evolution():
-    _, _, table, ints, factors = _homodyne_factors(1.0, 0.3, 0.7, 1e-3, 0.4,
-                                                   seed=6)
-    rho0 = coherent_state(1, 14, 0.5)
-    engine = EnsemblePropagator.from_blocks(table.final_blocks(), 14)
-    [got] = engine.evolve_records(rho0, [ints])
-    want = apply_evolution(rho0, factors)
-    assert np.abs(got.rho - want.rho).max() < 1e-13
+def test_evolve_records_match_propagate_vec():
+    # the checked ensemble call against perfbench's lib-ensemble pattern:
+    # per record normal_order_linear, reordering_scalar and the unchecked
+    # propagate_vec on the physical halves
+    def check(blocks, records, rho0):
+        n, dim = rho0.n_modes, rho0.dim_per_mode
+        engine = EnsemblePropagator(EvolutionFactors.from_blocks(blocks), dim)
+        v0 = rho0.rho.reshape(-1, order="F")
+        for state, ints in zip(engine.evolve_records(rho0, records), records):
+            l_u, r_u = normal_order_linear(blocks, ints.l_prime, ints.r_prime)
+            sigma = reordering_scalar(blocks, ints.r_prime)
+            want = engine.propagate_vec(v0, l_u[:n], r_u[:n], sigma)
+            got = state.rho.reshape(-1, order="F")
+            assert np.abs(got - want).max() < 1e-13
+        return engine
+
+    _, _, table, ints = _homodyne_record(1.0, 0.3, 0.7, 1e-3, 0.4, seed=6)
+    engine = check(table.final_blocks(), [ints], coherent_state(1, 14, 0.5))
     with pytest.raises(DimensionMismatch):
         engine.evolve_records(coherent_state(1, 12, 0.5), [ints])
+    blocks, records = _coupled_two_mode_records(3)
+    check(blocks, records, coherent_state(2, 4, [0.05, -0.04j]))
 
 
 def test_shared_engine_is_thread_safe():
@@ -317,7 +328,8 @@ def test_shared_engine_is_thread_safe():
     rep = rep_of_generator(compute_generator(spec))
     nc = compute_noise_couplings(spec)
     table = BlockTable(rep, 1e-3, 200)
-    engine = EnsemblePropagator.from_blocks(table.final_blocks(), 14)
+    engine = EnsemblePropagator(EvolutionFactors.from_blocks(
+        table.final_blocks()), 14)
     rho0 = coherent_state(1, 14, 0.4)
     records = [accumulate_integrals(table, nc, sample_ostensible_record(
         spec, 1e-3, 0.2, seed=k)) for k in range(12)]
@@ -346,24 +358,20 @@ def test_lowering_exp_is_exact_on_the_truncation():
 
 def test_two_mode_linear_factors_match_full_lifts(rng):
     # N = 2: per-record K rho K^dag linear factors around the shared quadratic
-    # lifts, against expm_multiply of each full species lift (linear included)
+    # lifts, against expm of each full species lift (linear included)
     dim = 5
     for _ in range(2):
         spec = random_spec(2, 2, rng)
         blocks = propagator_blocks(rep_of_generator(compute_generator(spec)), 0.4)
-        factors = replace(
-            EvolutionFactors.from_blocks(blocks),
-            l_under=rng.normal(size=2) + 1j * rng.normal(size=2),
-            r_under=rng.normal(size=2) + 1j * rng.normal(size=2),
-            sigma=complex(0.1 * rng.normal(), 0.1 * rng.normal()))
-        v0 = coherent_state(2, dim, [0.3 - 0.2j, -0.1j]).rho.reshape(-1, order="F")
-        want = v0.astype(complex)
-        for s in evolution_superoperators(factors, dim):
-            want = expm_multiply(s.tocsc(), want)
-        want = want * np.exp(factors.delta_prime + factors.sigma)
-        engine = EnsemblePropagator(factors, dim)
-        got = engine.propagate_vec(v0, factors.l_under, factors.r_under,
-                                   factors.sigma)
+        factors = EvolutionFactors.from_blocks(blocks)
+        l_u = rng.normal(size=2) + 1j * rng.normal(size=2)
+        r_u = rng.normal(size=2) + 1j * rng.normal(size=2)
+        sigma = complex(0.1 * rng.normal(), 0.1 * rng.normal())
+        rho0 = coherent_state(2, dim, [0.3 - 0.2j, -0.1j])
+        v0 = rho0.rho.reshape(-1, order="F")
+        want = dense_evolution(rho0, factors, l_u, r_u,
+                               sigma).reshape(-1, order="F")
+        got = EnsemblePropagator(factors, dim).propagate_vec(v0, l_u, r_u, sigma)
         assert got.shape == v0.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -371,11 +379,11 @@ def test_two_mode_linear_factors_match_full_lifts(rng):
 def test_non_finite_state_is_named():
     # a scalar exponent that overflows exp must not reach the Hermiticity and
     # tail checks, which NaN passes
-    factors = replace(random_single_mode_factors(np.random.default_rng(7)),
-                      sigma=complex(800.0, 0.0))
+    blocks, [ints] = _cool_homodyne_records([0])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(MatrixExpFailure, match=r"^record 0: "):
-            apply_evolution(vacuum_state(1, 8), factors)
+            apply_evolution(vacuum_state(1, 8), blocks,
+                            overflowing_integrals(blocks, ints))
 
 
 # A cool homodyne mode (K = 0.02): all three quadratic species, sandwiches
@@ -409,16 +417,17 @@ def _relative_gap(got, want) -> float:
 def test_evolve_records_match_dense_oracle(dim, n_records):
     blocks, records = _cool_homodyne_records(range(n_records))
     rho0 = coherent_state(1, dim, 0.2 - 0.1j)
-    states = EnsemblePropagator.from_blocks(blocks, dim).evolve_records(
-        rho0, records)
+    factors = EvolutionFactors.from_blocks(blocks)
+    states = EnsemblePropagator(factors, dim).evolve_records(rho0, records)
     assert len(states) == n_records
     for state, ints in zip(states, records):
-        want = dense_evolution(rho0, EvolutionFactors.from_blocks(blocks, ints))
+        want = dense_evolution(rho0, factors, *record_terms(blocks, ints))
         assert _relative_gap(state.rho, want) <= 1e-12
 
 
-def test_two_mode_evolve_records_match_dense_oracle():
-    # two damped homodyne modes with a quadrature (beam-splitter) coupling
+def _coupled_two_mode_records(n_records):
+    """(final blocks, integrals) of ostensible records of two damped homodyne
+    modes with a quadrature (beam-splitter) coupling."""
     C = np.zeros((2, 4), dtype=complex)
     C[0, :2] = np.sqrt(0.5) * np.array([1, 1j])
     C[1, 2:] = np.sqrt(0.35) * np.array([1, 1j])
@@ -429,14 +438,18 @@ def test_two_mode_evolve_records_match_dense_oracle():
     spec = validate_spec(SystemSpec(n_modes=2, n_channels=2, G=G, C=C, M=M))
     table = BlockTable(rep_of_generator(compute_generator(spec)), 1e-3, 300)
     nc = compute_noise_couplings(spec)
-    records = [accumulate_integrals(table, nc, sample_ostensible_record(
-        spec, 1e-3, 0.3, seed=k)) for k in range(3)]
-    blocks = table.final_blocks()
+    return table.final_blocks(), [accumulate_integrals(
+        table, nc, sample_ostensible_record(spec, 1e-3, 0.3, seed=k))
+        for k in range(n_records)]
+
+
+def test_two_mode_evolve_records_match_dense_oracle():
+    blocks, records = _coupled_two_mode_records(3)
+    factors = EvolutionFactors.from_blocks(blocks)
     rho0 = coherent_state(2, 4, [0.05, -0.04j])
-    states = EnsemblePropagator.from_blocks(blocks, 4).evolve_records(rho0,
-                                                                     records)
+    states = EnsemblePropagator(factors, 4).evolve_records(rho0, records)
     for state, ints in zip(states, records):
-        want = dense_evolution(rho0, EvolutionFactors.from_blocks(blocks, ints))
+        want = dense_evolution(rho0, factors, *record_terms(blocks, ints))
         assert _relative_gap(state.rho, want) <= 1e-12
 
 
@@ -445,7 +458,7 @@ def test_two_mode_evolve_records_match_dense_oracle():
        seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=8))
 def test_batched_records_equal_single_records(dim, seeds):
     blocks, records = _cool_homodyne_records(seeds)
-    engine = EnsemblePropagator.from_blocks(blocks, dim)
+    engine = EnsemblePropagator(EvolutionFactors.from_blocks(blocks), dim)
     rho0 = coherent_state(1, dim, 0.2 - 0.1j)
     batched = engine.evolve_records(rho0, records)
     for state, ints in zip(batched, records):
@@ -486,7 +499,7 @@ def test_single_mode_engine_build_forms_no_lift(monkeypatch):
     monkeypatch.setattr(state_engine, "evolution_superoperators", no_lifts)
     monkeypatch.setattr(state_engine, "expm", recording_expm)
     blocks, records = _cool_homodyne_records(range(3))
-    engine = EnsemblePropagator.from_blocks(blocks, dim)
+    engine = EnsemblePropagator(EvolutionFactors.from_blocks(blocks), dim)
     # the trailing (n, n) of each, possibly stacked, call
     assert shapes and all(s[-1] == s[-2] <= dim for s in shapes)
     engine.evolve_records(coherent_state(1, dim, 0.2), records)
@@ -494,7 +507,7 @@ def test_single_mode_engine_build_forms_no_lift(monkeypatch):
 
 def test_evolve_records_edge_cases_and_failing_record():
     blocks, records = _cool_homodyne_records(range(5))
-    engine = EnsemblePropagator.from_blocks(blocks, 8)
+    engine = EnsemblePropagator(EvolutionFactors.from_blocks(blocks), 8)
     rho0 = coherent_state(1, 8, 0.2)
     assert engine.evolve_records(rho0, []) == []
     with pytest.raises(DimensionMismatch):
