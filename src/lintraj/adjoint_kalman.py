@@ -22,10 +22,11 @@ a time.  Its test oracles in ``tests/conftest.py`` are the per-step
 
 Forward: :func:`forward_covariance_flow` is the one record-independent
 covariance and gain flow, with measurement gain ``2 V B^T - S^T`` (the sign of
-S flips under time reversal); :func:`forward_filter` and the conditioned
-record sampler each run only their mean loop over it.  The explicit-Euler
-information filter is the test oracle ``euler_backward`` in
-``tests/conftest.py``.
+S flips under time reversal).  :func:`forward_filter` runs its mean loop over
+it; the conditioned record sampler folds each step's gain and drift into one
+matrix that advances every record's mean and noise draw with one product.
+The explicit-Euler information filter is the test oracle ``euler_backward``
+in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -232,7 +233,8 @@ def forward_covariance_flow(mats: KalmanMatrices, cov: np.ndarray,
     (explicit Euler, symmetrized each step).
 
     gains[j] = 2 V_j B^T - S^T has shape (steps, 2N, 2L); covs has shape
-    (steps+1, 2N, 2N) with entry 0 the initial covariance.
+    (steps+1, 2N, 2N) with entry 0 the initial covariance, which is taken
+    to be symmetric: V A^T is formed as the transpose of A V.
     """
     covs = np.empty((steps + 1,) + np.shape(cov))
     gains = np.empty((steps,) + mats.S.T.shape)
@@ -240,7 +242,8 @@ def forward_covariance_flow(mats: KalmanMatrices, cov: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):   # reported below
         for j in range(steps):
             gain = gains[j] = 2.0 * V @ mats.B.T - mats.S.T
-            V = V + dt * (mats.A @ V + V @ mats.A.T + mats.E - gain @ gain.T)
+            av = mats.A @ V
+            V = V + dt * (av + av.T + mats.E - gain @ gain.T)
             V = covs[j + 1] = (V + V.T) / 2
     # whichever happened first: positivity lost, or the flow left the floats
     finite = np.isfinite(covs).all(axis=(1, 2))

@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CrossCheckFailure, DimensionMismatch, MatrixExpFailure
+from .errors import (
+    ConfigError,
+    CrossCheckFailure,
+    DimensionMismatch,
+    MatrixExpFailure,
+    ParameterOutOfRange,
+)
 from .lie_rep import PropagatorBlocks, RepMatrix, flip, propagator_powers
 from .parameterization import NoiseCouplings
 from .system import SystemSpec
@@ -106,35 +112,72 @@ def sample_conditioned_record_gaussian(spec: SystemSpec, mean: np.ndarray,
     """Records with the physical statistics of a Gaussian initial state.
 
     Runs the forward conditioned filter: y dt = 2 B xbar dt + dw with
-    dw ~ Normal(0, dt) on monitored components, over the record-independent
-    covariance flow :func:`~lintraj.adjoint_kalman.forward_covariance_flow`.
-    With ``n_traj`` set, returns a (n_traj, steps, 2L) array of records
-    sharing that flow; otherwise a single MeasurementRecord.
+    dw = sqrt(dt) xi, xi ~ Normal(0, 1) on the k monitored components, over
+    the record-independent covariance flow
+    :func:`~lintraj.adjoint_kalman.forward_covariance_flow`.  With ``n_traj``
+    set, returns a (n_traj, steps, 2L) view of time-major records sharing
+    that flow; otherwise a single MeasurementRecord.
+
+    The gains are record-independent, so each step advances every record's
+    z = [xbar | xi] with one product, xbar <- z [[1 + A^T dt]; sqrt(dt) G^T],
+    G the gain's monitored columns.  The noise is drawn a chunk of steps at a
+    time: one ``standard_normal`` of (steps, records, k) is the same numbers,
+    in the same order, as one draw of (records, k) per step.  A chunk's
+    currents are one product z [[2 B^T]; 1 / sqrt(dt)] written to the
+    monitored columns only; the unmonitored ones stay zero.  A chunk spans
+    about ``_STREAM_CHUNK`` entries of z.
+
+    DimensionMismatch for a mean that is not (2N,) or a cov that is not
+    (2N, 2N).  ParameterOutOfRange for a complex or non-finite mean or cov,
+    a dt that is non-finite or not positive, a t_final that is non-finite or
+    shorter than one step, and an n_traj that is not a positive integer.
     """
     from .adjoint_kalman import forward_covariance_flow, kalman_matrices
 
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
+    n2 = 2 * spec.n_modes
+    mean, cov = np.asarray(mean), np.asarray(cov)
+    if mean.shape != (n2,) or cov.shape != (n2, n2):
+        raise DimensionMismatch(f"mean {mean.shape} and cov {cov.shape} must "
+                                f"be ({n2},) and ({n2}, {n2})")
+    for name, value in (("mean", mean), ("cov", cov)):
+        if np.iscomplexobj(value) or not np.isfinite(value).all():
+            raise ParameterOutOfRange(f"{name} must be real and finite")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ParameterOutOfRange(f"dt must be finite and > 0, got {dt!r}")
+    if not (np.isfinite(t_final / dt) and round(t_final / dt) >= 1):
+        raise ParameterOutOfRange(f"t_final must be finite and at least one "
+                                  f"step dt = {dt!r}, got {t_final!r}")
+    if n_traj is not None and not (isinstance(n_traj, (int, np.integer))
+                                   and n_traj > 0):
+        raise ParameterOutOfRange(f"n_traj must be a positive integer, "
+                                  f"got {n_traj!r}")
     steps = int(round(t_final / dt))
     if rng is None:
         rng = np.random.default_rng(seed)
     mats = kalman_matrices(spec)
-    gains, _ = forward_covariance_flow(mats, cov, dt, steps)
-    mask = spec.monitored
-    single = n_traj is None
-    m_traj = 1 if single else n_traj
+    cols = np.flatnonzero(spec.monitored)
+    k = len(cols)
+    gains = forward_covariance_flow(mats, cov, dt, steps)[0][:, :, cols]
+    m_traj = 1 if n_traj is None else n_traj
 
-    xbar = np.tile(np.asarray(mean, dtype=float), (m_traj, 1))
-    # time-major, so each step fills one contiguous slab; the ensemble is
+    step = np.empty((steps, n2 + k, n2))
+    step[:, :n2] = np.eye(n2) + dt * mats.A.T
+    step[:, n2:] = np.sqrt(dt) * gains.transpose(0, 2, 1)
+    emit = np.vstack([2.0 * mats.B[cols].T, np.eye(k) / np.sqrt(dt)])
+    # time-major, so each chunk fills one contiguous slab; the ensemble is
     # returned as a (n_traj, steps, 2L) view of it
     y_out = np.zeros((steps, m_traj, 2 * spec.n_channels))
-    dw = np.zeros((m_traj, 2 * spec.n_channels))
-    two_b = 2.0 * mats.B
-    for j in range(steps):
-        dw[:, mask] = rng.normal(size=(m_traj, int(mask.sum()))) * np.sqrt(dt)
-        y_out[j] = (xbar @ two_b.T * dt + dw) / dt
-        xbar = xbar + xbar @ mats.A.T * dt + dw @ gains[j].T
-    if single:
+    chunk = min(steps, max(1, _STREAM_CHUNK // (m_traj * (n2 + k))))
+    z = np.empty((chunk + 1, m_traj, n2 + k))
+    z[0, :, :n2] = mean
+    for j0 in range(0, steps, chunk):
+        c = min(chunk, steps - j0)
+        z[:c, :, n2:] = rng.standard_normal(size=(c, m_traj, k))
+        for i in range(c):
+            np.matmul(z[i], step[j0 + i], out=z[i + 1, :, :n2])
+        y_out[j0:j0 + c, :, cols] = z[:c] @ emit
+        z[0, :, :n2] = z[c, :, :n2]
+    if n_traj is None:
         return MeasurementRecord(dt=dt, y=y_out[:, 0])
     return y_out.transpose(1, 0, 2)
 

@@ -39,7 +39,13 @@ from lintraj.state_engine import (
     evolution_superoperators,
     fock_operators,
 )
-from lintraj.system import FockFormSpec, SystemSpec, mode_rotation, validate_spec
+from lintraj.system import (
+    FockFormSpec,
+    SystemSpec,
+    from_fock_form,
+    mode_rotation,
+    validate_spec,
+)
 from lintraj.trajectory import MeasurementRecord
 
 
@@ -55,6 +61,16 @@ def random_spec(n, ell, rng, complex_c=True):
     eta = rng.uniform(0, 1, size=ell)
     M = np.sqrt(eta)[:, None] * Q[:ell, :]
     return validate_spec(SystemSpec(n_modes=n, n_channels=ell, G=G, C=C, M=M))
+
+
+def two_damped_modes():
+    """Two damped modes, each monitored on one of the four current columns
+    (0 and 2): vacuum stays on a 3-level truncation."""
+    M = np.zeros((2, 4), dtype=complex)
+    M[0, 0], M[1, 2] = np.sqrt(0.8), np.sqrt(0.5)
+    return from_fock_form(FockFormSpec(
+        n_modes=2, n_channels=2, F=np.zeros((4, 4)),
+        Z=np.array([[1, 0, 0, 0], [0, 0, 0.7, 0]], dtype=complex), M=M))
 
 
 def random_generator(n, rng, scale=1.0, real=False):

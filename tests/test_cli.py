@@ -476,20 +476,45 @@ print("ok")
 
 
 def test_one_mode_commands_import_no_scipy(homodyne_config, tmp_path):
-    import numpy as np
+    from conftest import two_damped_modes
 
-    from lintraj.system import FockFormSpec, from_fock_form, spec_to_config
+    from lintraj.system import spec_to_config
 
-    # two damped modes, each monitored: vacuum stays on a 3-level truncation
-    M = np.zeros((2, 4), dtype=complex)
-    M[0, 0], M[1, 2] = np.sqrt(0.8), np.sqrt(0.5)
-    spec = from_fock_form(FockFormSpec(
-        n_modes=2, n_channels=2, F=np.zeros((4, 4)),
-        Z=np.array([[1, 0, 0, 0], [0, 0, 0.7, 0]], dtype=complex), M=M))
     two_mode = tmp_path / "n2.json"
-    two_mode.write_text(json.dumps(spec_to_config(spec)))
+    two_mode.write_text(json.dumps(spec_to_config(two_damped_modes())))
     proc = _fresh_python("-c", _SCIPY_FREE_RUN, homodyne_config,
                          str(two_mode), str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+# the criterion-9 chain at small size: conditioned records, their summaries
+# and the POVM summary vector d, with every warning an error
+_SCIPY_FREE_RECORD_SUMMARY = """
+import sys
+import numpy as np
+from lintraj import (BlockTable, TrajectoryIntegrals,
+                     accumulate_integrals_ensemble, builtin_optomech_squeezing,
+                     compute_generator, compute_noise_couplings, povm_blocks,
+                     rep_of_generator, sample_conditioned_record_gaussian,
+                     stochastic_d)
+spec = builtin_optomech_squeezing(1.0, 1.0, 0.4, 0.2, 0.3)
+y = sample_conditioned_record_gaussian(spec, np.array([1.0, -0.6]),
+                                       0.5 * np.eye(2), 1e-3, 0.1, n_traj=20)
+table = BlockTable(rep_of_generator(compute_generator(spec)), 1e-3, 100)
+l_e, r_e, h_e = accumulate_integrals_ensemble(table,
+                                              compute_noise_couplings(spec), y)
+d = stochastic_d(TrajectoryIntegrals(n_modes=1, t=0.1, l_prime=l_e[0],
+                                     r_prime=r_e[0], h=complex(h_e[0])),
+                 povm_blocks(table.final_blocks()))
+assert np.all(np.isfinite(d))
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+print("ok")
+"""
+
+
+def test_record_summary_chain_imports_no_scipy():
+    proc = _fresh_python("-W", "error", "-c", _SCIPY_FREE_RECORD_SUMMARY)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
 

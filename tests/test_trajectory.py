@@ -10,12 +10,13 @@ from conftest import (
     einsum_accumulation,
     loop_conditioned_records,
     random_spec,
+    two_damped_modes,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lintraj import trajectory
-from lintraj.errors import ConfigError, DimensionMismatch
+from lintraj.errors import ConfigError, DimensionMismatch, ParameterOutOfRange
 from lintraj.lie_rep import rep_of_generator
 from lintraj.parameterization import compute_generator, compute_noise_couplings
 from lintraj.system import builtin_homodyne_thermal, builtin_optomech_squeezing
@@ -359,21 +360,89 @@ def test_conditioned_record_coherent_initial_current():
     assert abs(first.mean() - want) < 4 * se
 
 
-@pytest.mark.parametrize("n_traj", [None, 7])
-def test_conditioned_records_match_per_step_loop(n_traj):
+_CONDITIONED_SYSTEMS = {
+    # 2 of 6 current columns monitored
+    "optomech": lambda: (_optomech(), np.sqrt(2) * np.array([0.7, -0.4])),
+    # 1 of 4
+    "homodyne": lambda: (builtin_homodyne_thermal(1.0, 0.6, 0.7),
+                         np.array([0.9, -0.2])),
+    # 2 of 4, not adjacent
+    "two-mode": lambda: (two_damped_modes(), np.array([0.5, -0.3, 0.2, 0.8])),
+}
+
+
+@pytest.mark.parametrize("chunk_steps", [None, 37])
+@pytest.mark.parametrize("n_traj", [None, 1, 7])
+@pytest.mark.parametrize("system", list(_CONDITIONED_SYSTEMS))
+def test_conditioned_records_match_per_step_loop(monkeypatch, system, n_traj,
+                                                 chunk_steps):
     # same seed, same draw order: the records follow the oracle that steps the
-    # covariance inside the draw loop
-    spec = builtin_optomech_squeezing(1.0, 1.0, 0.4, 0.2, 0.3)
-    mean0 = np.sqrt(2) * np.array([0.7, -0.4])
-    args = (spec, mean0, 0.5 * np.eye(2), 1e-3, 0.5)
-    got = sample_conditioned_record_gaussian(*args, rng=np.random.default_rng(5),
-                                             n_traj=n_traj)
+    # covariance inside the draw loop, also across chunk edges (500 steps is
+    # 13 chunks of 37 and one of 19)
+    spec, mean0 = _CONDITIONED_SYSTEMS[system]()
+    if chunk_steps is not None:
+        width = 2 * spec.n_modes + int(spec.monitored.sum())
+        monkeypatch.setattr(trajectory, "_STREAM_CHUNK",
+                            chunk_steps * (n_traj or 1) * width)
+    args = (spec, mean0, 0.5 * np.eye(len(mean0)), 1e-3, 0.5)
+    rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = sample_conditioned_record_gaussian(*args, rng=rng, n_traj=n_traj)
     if n_traj is None:
         got = got.y[None]
-    want = loop_conditioned_records(*args, rng=np.random.default_rng(5),
-                                    n_traj=n_traj)
+    want = loop_conditioned_records(*args, rng=oracle_rng, n_traj=n_traj)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # exactly steps * records * monitored numbers were drawn, in order
+    assert rng.standard_normal() == oracle_rng.standard_normal()
+
+
+def test_conditioned_sampler_memory_stays_within_output():
+    # the record-summary sampler at 200 records: beyond its output, only the
+    # per-step matrices and one chunk's draws and states
+    spec, mean0 = _CONDITIONED_SYSTEMS["optomech"]()
+    tracemalloc.start()
+    try:
+        y = sample_conditioned_record_gaussian(spec, mean0, 0.5 * np.eye(2),
+                                               1e-3, 2.0, seed=3, n_traj=200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y.shape == (200, 2000, 6)
+    assert peak <= y.nbytes + 2 * 2 ** 20
+
+
+_BAD_SAMPLER_INPUTS = {
+    "nan mean": (ParameterOutOfRange, {"mean": np.array([np.nan, 0.0])}),
+    "complex mean": (ParameterOutOfRange, {"mean": np.array([1.0, 1j])}),
+    "inf cov": (ParameterOutOfRange, {"cov": np.diag([0.5, np.inf])}),
+    "complex cov": (ParameterOutOfRange,
+                    {"cov": 0.5 * np.eye(2) + 0.1j * np.eye(2)}),
+    "short mean": (DimensionMismatch, {"mean": np.zeros(1)}),
+    "long mean": (DimensionMismatch, {"mean": np.zeros(3)}),
+    "cov 3x3": (DimensionMismatch, {"cov": 0.5 * np.eye(3)}),
+    "cov (2,)": (DimensionMismatch, {"cov": np.ones(2)}),
+    "nan dt": (ParameterOutOfRange, {"dt": np.nan}),
+    "inf dt": (ParameterOutOfRange, {"dt": np.inf}),
+    "zero dt": (ParameterOutOfRange, {"dt": 0.0}),
+    "negative dt": (ParameterOutOfRange, {"dt": -1e-3}),
+    "inf t_final": (ParameterOutOfRange, {"t_final": np.inf}),
+    "nan t_final": (ParameterOutOfRange, {"t_final": np.nan}),
+    "t_final below one step": (ParameterOutOfRange, {"t_final": 4e-4}),
+    "zero n_traj": (ParameterOutOfRange, {"n_traj": 0}),
+    "negative n_traj": (ParameterOutOfRange, {"n_traj": -1}),
+    "fractional n_traj": (ParameterOutOfRange, {"n_traj": 2.5}),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_SAMPLER_INPUTS))
+def test_conditioned_sampler_rejects_bad_input_before_the_flow(case):
+    error, bad = _BAD_SAMPLER_INPUTS[case]
+    kwargs = {"mean": np.array([0.7, -0.4]), "cov": 0.5 * np.eye(2),
+              "dt": 1e-3, "t_final": 0.1, "n_traj": 3, **bad}
+    with mock.patch("lintraj.adjoint_kalman.forward_covariance_flow",
+                    side_effect=AssertionError("the flow ran")):
+        with pytest.raises(error):
+            sample_conditioned_record_gaussian(_optomech(), **kwargs)
 
 
 def test_stochastic_d_zero_temperature_closed_form():
