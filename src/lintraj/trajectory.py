@@ -19,7 +19,8 @@ from .errors import (
     MatrixExpFailure,
     ParameterOutOfRange,
 )
-from .lie_rep import PropagatorBlocks, RepMatrix, flip, propagator_powers
+from ._linalg import expm
+from .lie_rep import _POWER_CHUNK, PropagatorBlocks, RepMatrix, step_powers
 from .parameterization import NoiseCouplings
 from .system import SystemSpec
 
@@ -88,14 +89,26 @@ class TrajectoryIntegrals:
         return float(resid)
 
 
+def _sampled_steps(dt: float, t_final: float) -> int:
+    """Slices of a sampled record; ParameterOutOfRange for a dt that is
+    non-finite or not positive and a t_final that is non-finite or shorter
+    than one step."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise ParameterOutOfRange(f"dt must be finite and > 0, got {dt!r}")
+    if not (np.isfinite(t_final / dt) and round(t_final / dt) >= 1):
+        raise ParameterOutOfRange(f"t_final must be finite and at least one "
+                                  f"step dt = {dt!r}, got {t_final!r}")
+    return int(round(t_final / dt))
+
+
 def sample_ostensible_record(spec: SystemSpec, dt: float, t_final: float,
                              seed: int | None = 0,
                              rng: np.random.Generator | None = None) -> MeasurementRecord:
     """Record drawn from the reference white-noise law: each monitored
-    component of y*dt is i.i.d. Normal(0, dt); unmonitored components are zero."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    steps = int(round(t_final / dt))
+    component of y*dt is i.i.d. Normal(0, dt); unmonitored components are
+    zero.  ParameterOutOfRange for a non-finite or non-positive dt and a
+    non-finite t_final or one shorter than one step."""
+    steps = _sampled_steps(dt, t_final)
     if rng is None:
         rng = np.random.default_rng(seed)
     y = np.zeros((steps, 2 * spec.n_channels))
@@ -142,16 +155,11 @@ def sample_conditioned_record_gaussian(spec: SystemSpec, mean: np.ndarray,
     for name, value in (("mean", mean), ("cov", cov)):
         if np.iscomplexobj(value) or not np.isfinite(value).all():
             raise ParameterOutOfRange(f"{name} must be real and finite")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ParameterOutOfRange(f"dt must be finite and > 0, got {dt!r}")
-    if not (np.isfinite(t_final / dt) and round(t_final / dt) >= 1):
-        raise ParameterOutOfRange(f"t_final must be finite and at least one "
-                                  f"step dt = {dt!r}, got {t_final!r}")
+    steps = _sampled_steps(dt, t_final)
     if n_traj is not None and not (isinstance(n_traj, (int, np.integer))
                                    and n_traj > 0):
         raise ParameterOutOfRange(f"n_traj must be a positive integer, "
                                   f"got {n_traj!r}")
-    steps = int(round(t_final / dt))
     if rng is None:
         rng = np.random.default_rng(seed)
     mats = kalman_matrices(spec)
@@ -183,41 +191,51 @@ def sample_conditioned_record_gaussian(spec: SystemSpec, mean: np.ndarray,
 
 
 class BlockTable:
-    """Propagator blocks on the uniform grid t_j = j dt, j = 1..steps.
+    """Propagator blocks on the uniform grid t_j = j dt, j = 1..steps, in
+    factored form; record-independent, built once per (spec, dt, steps).
 
-    Record-independent; built once per (spec, dt, steps) and shared across an
-    ensemble.  Only the four inner blocks and the scalar corner c are kept,
-    not the whole (steps, 4N+2, 4N+2) grid of propagators, which for one mode
-    is more than twice as large.
+    The propagator at t_j is P^j, P = expm(rep dt).  Every generator image
+    has a zero first row and last column, so inner 4N x 4N blocks multiply
+    as the whole matrices do.  With C = min(_POWER_CHUNK, steps), the inner
+    block at t = (qC + i + 1) dt is ``powers[i] @ bases[q]``: ``powers``
+    holds those of P^1..P^C, sequential products (:func:`step_powers`), and
+    ``bases`` those of P^(qC), each the one product P^C P^((q-1)C).
+    ``final`` is the whole propagator at t = steps dt.  No attribute has a
+    per-step axis.  No eigendecomposition: every generator image is
+    defective (its nonzero corner entry joins the two zero eigenvalues into
+    a Jordan block), so its eigenvectors are never well conditioned.
+
+    ParameterOutOfRange for a dt that is not finite and > 0 or steps that
+    is not a positive integer; MatrixExpFailure if a factor overflows.
     """
 
     def __init__(self, rep: RepMatrix, dt: float, steps: int):
+        if not (np.isfinite(dt) and dt > 0):
+            raise ParameterOutOfRange(f"dt must be finite and > 0, got {dt!r}")
+        if not (isinstance(steps, (int, np.integer)) and steps > 0):
+            raise ParameterOutOfRange(f"steps must be a positive integer, "
+                                      f"got {steps!r}")
         self.n_modes = rep.n_modes
         self.dt = dt
         self.steps = steps
-        m = 2 * rep.n_modes
-        inner = np.empty((steps, 2 * m, 2 * m), dtype=complex)
-        self.c = np.empty(steps, dtype=complex)
-        for j0, chunk in propagator_powers(rep, dt, steps):
-            inner[j0:j0 + len(chunk)] = chunk[:, 1:-1, 1:-1]
-            self.c[j0:j0 + len(chunk)] = chunk[:, -1, 0]
-        if not (np.all(np.isfinite(inner)) and np.all(np.isfinite(self.c))):
-            raise MatrixExpFailure("non-finite entries in propagator grid")
-        self.N11 = inner[:, :m, :m]
-        self.N1m1 = inner[:, :m, m:]
-        self.Nm11 = inner[:, m:, :m]
-        self.Nm1m1 = inner[:, m:, m:]
+        chunk = min(_POWER_CHUNK, steps)
+        full = step_powers(expm(rep.matrix * dt), chunk)
+        self.powers = full[1:, 1:-1, 1:-1].copy()
+        self.bases = np.empty((-(-steps // chunk),) + self.powers.shape[1:],
+                              dtype=complex)
+        self.bases[0] = np.eye(len(self.bases[0]))
+        base = full[0]
+        for q in range(1, len(self.bases)):
+            base = full[chunk] @ base
+            self.bases[q] = base[1:-1, 1:-1]
+        self.final = full[steps - (len(self.bases) - 1) * chunk] @ base
+        if not all(np.isfinite(a).all()
+                   for a in (self.powers, self.bases, self.final)):
+            raise MatrixExpFailure("non-finite propagator powers")
 
     def final_blocks(self) -> PropagatorBlocks:
-        m = 2 * self.n_modes
-        j = self.steps - 1
-        zero_v = np.zeros(m, dtype=complex)
-        return PropagatorBlocks(
-            n_modes=self.n_modes, t=self.dt * self.steps,
-            N11=self.N11[j], N1m1=self.N1m1[j], Nm11=self.Nm11[j],
-            Nm1m1=self.Nm1m1[j], N10=zero_v, Nm10=zero_v.copy(),
-            Nm01=zero_v.copy(), Nm0m1=zero_v.copy(), c=self.c[j],
-        )
+        return PropagatorBlocks.from_matrix(self.n_modes, self.dt * self.steps,
+                                            self.final)
 
 
 def checked_currents(y, n_columns: int) -> np.ndarray:
@@ -279,8 +297,11 @@ def accumulate_integrals_ensemble(table: BlockTable, couplings: NoiseCouplings,
     Both increments are linear in the record with record-independent per-step
     kernels, dl'_j = y_j KL_j and dr'_j = y_j KR_j, where
     KL_j = dt (W_l N11_j + W_r J^T Nm11_j) and
-    KR_j = dt (W_l N1m1_j + W_r J^T Nm1m1_j) J^T, folded once per call over
-    only the k current columns with a nonzero coupling row.
+    KR_j = dt (W_l N1m1_j + W_r J^T Nm1m1_j) J^T, over only the k current
+    columns with a nonzero coupling row.  With W = [W_l | W_r J^T], the
+    table's factors give [KL_j | KR_j J] = dt W P^i B^q: dt W P^i is folded
+    once per call, then one product with the bases B^q (right-half columns
+    reversed) forms every kernel.
 
     Blocked causal scan (prefix sums as block products, Blelloch 1990): cut
     the grid into blocks c of ``_SCAN_BLOCK`` steps and let y_c be a record's
@@ -302,18 +323,22 @@ def accumulate_integrals_ensemble(table: BlockTable, couplings: NoiseCouplings,
     if steps != table.steps:
         raise DimensionMismatch("record and block table use different grids")
     m = 2 * table.n_modes
-    J = flip(m)
     cols = np.flatnonzero(np.any(couplings.W_l != 0, axis=1)
                           | np.any(couplings.W_r != 0, axis=1))
     k, b = len(cols), _SCAN_BLOCK
     n_blocks = -(-steps // b)
-    w_l = couplings.W_l[cols]
-    w_rj = couplings.W_r[cols] @ J.T
+    chunk, n_bases = len(table.powers), len(table.bases)
+    # W = [W_l | W_r J^T]; J reverses the columns it multiplies
+    fold = table.dt * (np.hstack([couplings.W_l[cols], couplings.W_r[cols, ::-1]])
+                       @ table.powers)
+    flip_right = np.r_[:m, 2 * m - 1:m - 1:-1]
     # [KL | KR], zero past the last step so the grid is whole blocks
-    kernels = np.zeros((n_blocks * b, k, 2 * m), dtype=complex)
-    kernels[:steps, :, :m] = table.dt * (w_l @ table.N11 + w_rj @ table.Nm11)
-    kernels[:steps, :, m:] = table.dt * (w_l @ table.N1m1 + w_rj @ table.Nm1m1) @ J.T
-    kernels = kernels.reshape(n_blocks, b * k, 2 * m)
+    kernels = np.zeros((max(n_bases * chunk, n_blocks * b), k, 2 * m),
+                       dtype=complex)
+    np.matmul(fold.reshape(chunk * k, 2 * m), table.bases[..., flip_right],
+              out=kernels[:n_bases * chunk].reshape(n_bases, chunk * k, 2 * m))
+    kernels[steps:] = 0.0
+    kernels = kernels[:n_blocks * b].reshape(n_blocks, b * k, 2 * m)
     step_of = np.repeat(np.arange(b), k)
     weights = (step_of[:, None] > step_of) + 0.5 * (step_of[:, None] == step_of)
 

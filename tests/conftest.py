@@ -1,7 +1,7 @@
 """Shared helpers for the test suite, and the reference routes the tests
 compare the library against."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from math import factorial
 
 import numpy as np
@@ -187,15 +187,19 @@ def einsum_accumulation(table, couplings, y):
     """Test oracle for ``accumulate_integrals_ensemble``: the per-step einsum
     form over every current column, with all (S, steps, 2N) increment
     streams held at once.  Returns (l', r', h) like the streamed route."""
-    J = flip(2 * table.n_modes)
+    m = 2 * table.n_modes
+    J = flip(m)
     dt = table.dt
+    grid = table_grid(table)
+    n11, n1m1, nm11, nm1m1 = (grid[:, :m, :m], grid[:, :m, m:],
+                              grid[:, m:, :m], grid[:, m:, m:])
     dl = np.einsum("sjk,km->sjm", y, couplings.W_l) * dt      # (S, J, 2N)
     dr = np.einsum("sjk,km->sjm", y, couplings.W_r) * dt
     dr_f = dr @ J.T                                            # J @ dr per step
-    dl_p = (np.einsum("sjm,jmn->sjn", dl, table.N11)
-            + np.einsum("sjm,jmn->sjn", dr_f, table.Nm11))
-    dr_p_pre = (np.einsum("jmn,sjm->sjn", table.N1m1, dl)
-                + np.einsum("jmn,sjm->sjn", table.Nm1m1, dr_f))
+    dl_p = (np.einsum("sjm,jmn->sjn", dl, n11)
+            + np.einsum("sjm,jmn->sjn", dr_f, nm11))
+    dr_p_pre = (np.einsum("jmn,sjm->sjn", n1m1, dl)
+                + np.einsum("jmn,sjm->sjn", nm1m1, dr_f))
     dr_p = dr_p_pre @ J.T
     l_prime = dl_p.sum(axis=1)
     r_prime = dr_p.sum(axis=1)
@@ -611,10 +615,11 @@ def apply_evolution_power_series(rho0, factors, l_u, r_u, sigma):
 
 
 def sequential_powers(rep, dt, steps):
-    """Test oracle for ``propagator_powers``: the (steps, 4N+2, 4N+2)
-    propagators at j = 1..steps, one sequential product with the single-step
-    propagator per step.  The step is the library's own exponential, so the
-    first chunk of ``propagator_powers`` is these products bitwise."""
+    """Test oracle for the factors of a ``BlockTable``: the
+    (steps, 4N+2, 4N+2) propagators at j = 1..steps, one sequential product
+    with the single-step propagator per step.  The step is the library's own
+    exponential, so the table's ``powers`` are the inner blocks of the first
+    C of these products bitwise."""
     step = _linalg.expm(rep.matrix * dt)
     acc = np.eye(rep.dim, dtype=complex)
     out = np.empty((steps, rep.dim, rep.dim), dtype=complex)
@@ -624,14 +629,29 @@ def sequential_powers(rep, dt, steps):
     return out
 
 
+def table_grid(table):
+    """The (steps, 4N, 4N) inner propagator blocks at j = 1..steps, rebuilt
+    from a ``BlockTable``'s two factor stacks: step j = qC + i (0-based) is
+    ``powers[i] @ bases[q]``."""
+    c = len(table.powers)
+    return np.array([table.powers[j % c] @ table.bases[j // c]
+                     for j in range(table.steps)])
+
+
 def block_table_residual(table, rep):
-    """Largest difference between the blocks a ``BlockTable`` stores at each
-    grid time j dt and ``propagator_blocks`` evaluated directly there."""
+    """Largest difference between the inner blocks of a ``BlockTable`` at
+    each grid time j dt, and the blocks of its final propagator, and
+    ``propagator_blocks`` evaluated directly there."""
+    m = 2 * table.n_modes
     worst = 0.0
-    for j in range(table.steps):
+    for j, inner in enumerate(table_grid(table)):
         want = propagator_blocks(rep, table.dt * (j + 1))
-        for name in ("N11", "N1m1", "Nm11", "Nm1m1"):
-            diff = getattr(table, name)[j] - getattr(want, name)
-            worst = max(worst, float(np.abs(diff).max()))
-        worst = max(worst, abs(table.c[j] - want.c))
+        for name, got in (("N11", inner[:m, :m]), ("N1m1", inner[:m, m:]),
+                          ("Nm11", inner[m:, :m]), ("Nm1m1", inner[m:, m:])):
+            worst = max(worst, float(np.abs(got - getattr(want, name)).max()))
+    got = table.final_blocks()
+    want = propagator_blocks(rep, table.dt * table.steps)
+    for field in fields(got):
+        diff = np.subtract(getattr(got, field.name), getattr(want, field.name))
+        worst = max(worst, float(np.abs(diff).max()))
     return worst

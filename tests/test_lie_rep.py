@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from lintraj import _linalg, lie_rep
+from lintraj import _linalg, lie_rep, trajectory
 from lintraj.errors import LogBranchFailure, SingularBlock
 from lintraj.lie_rep import (
     PropagatorBlocks,
@@ -17,7 +17,6 @@ from lintraj.lie_rep import (
     normal_order_linear,
     povm_blocks,
     propagator_blocks,
-    propagator_powers,
     reordering_scalar,
     rep_of_generator,
 )
@@ -41,6 +40,7 @@ from conftest import (
     reorder_linear_increment,
     rep_linear_factor,
     sequential_powers,
+    table_grid,
 )
 
 
@@ -178,16 +178,19 @@ def test_blocked_powers_match_sequential_oracle(monkeypatch, system, steps):
             }[system]()
     rep = rep_of_generator(compute_generator(spec))
     dt = 0.01
-    monkeypatch.setattr(lie_rep, "_POWER_CHUNK", 8)
-    chunks = list(propagator_powers(rep, dt, steps))
-    assert [(j0, len(c)) for j0, c in chunks] == [
-        (j0, min(8, steps - j0)) for j0 in range(0, steps, 8)]
-    got = np.concatenate([c for _, c in chunks])
+    monkeypatch.setattr(trajectory, "_POWER_CHUNK", 8)
+    table = BlockTable(rep, dt, steps)
+    c = min(8, steps)
+    assert table.powers.shape[0] == c
+    assert table.bases.shape[0] == -(-steps // 8)
+    got = table_grid(table)
     want = sequential_powers(rep, dt, steps)
-    # the first chunk is the sequential products themselves
-    assert np.array_equal(chunks[0][1], want[:8])
+    # the powers are the inner blocks of the sequential products themselves
+    assert np.array_equal(table.powers, want[:c, 1:-1, 1:-1])
     scale = np.abs(want).max(axis=(1, 2))
-    assert (np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * scale).all()
+    assert (np.abs(got - want[:, 1:-1, 1:-1]).max(axis=(1, 2))
+            <= 1e-12 * scale).all()
+    assert np.abs(table.final - want[-1]).max() <= 1e-12 * scale[-1]
 
 
 def test_blocked_powers_match_direct_expm_on_long_grid():
@@ -199,15 +202,19 @@ def test_blocked_powers_match_direct_expm_on_long_grid():
                  builtin_optomech_squeezing(1.0, 0.8, 0.5, 0.2, 0.3)):
         rep = rep_of_generator(compute_generator(spec))
         dt, steps = 1e-4, 50_000
-        got = np.concatenate([c[999 - j0 % 1000::1000] for j0, c
-                              in propagator_powers(rep, dt, steps)])
-        seq = sequential_powers(rep, dt, steps)[999::1000]
-        want = np.array([expm(rep.matrix * (j + 1) * dt)
+        table = BlockTable(rep, dt, steps)
+        got = table_grid(table)[999::1000]
+        seq = sequential_powers(rep, dt, steps)[999::1000, 1:-1, 1:-1]
+        want = np.array([expm(rep.matrix * (j + 1) * dt)[1:-1, 1:-1]
                          for j in range(999, steps, 1000)])
         blocked_err = np.abs(got - want).max() / np.abs(want).max()
         sequential_err = np.abs(seq - want).max() / np.abs(want).max()
         assert sequential_err < 1e-11
         assert blocked_err <= sequential_err + 1e-12
+        # the final propagator, corner entry included
+        want = expm(rep.matrix * steps * dt)
+        final_err = np.abs(table.final - want).max() / np.abs(want).max()
+        assert final_err <= sequential_err + 1e-12
 
 
 def test_propagator_grid_defective_fallback():

@@ -411,6 +411,17 @@ def test_conditioned_sampler_memory_stays_within_output():
     assert peak <= y.nbytes + 2 * 2 ** 20
 
 
+# grids both samplers reject, at dt = 1e-3
+_BAD_GRIDS = {
+    "nan dt": {"dt": np.nan},
+    "inf dt": {"dt": np.inf},
+    "zero dt": {"dt": 0.0},
+    "negative dt": {"dt": -1e-3},
+    "inf t_final": {"t_final": np.inf},
+    "nan t_final": {"t_final": np.nan},
+    "t_final below one step": {"t_final": 4e-4},
+}
+
 _BAD_SAMPLER_INPUTS = {
     "nan mean": (ParameterOutOfRange, {"mean": np.array([np.nan, 0.0])}),
     "complex mean": (ParameterOutOfRange, {"mean": np.array([1.0, 1j])}),
@@ -421,13 +432,7 @@ _BAD_SAMPLER_INPUTS = {
     "long mean": (DimensionMismatch, {"mean": np.zeros(3)}),
     "cov 3x3": (DimensionMismatch, {"cov": 0.5 * np.eye(3)}),
     "cov (2,)": (DimensionMismatch, {"cov": np.ones(2)}),
-    "nan dt": (ParameterOutOfRange, {"dt": np.nan}),
-    "inf dt": (ParameterOutOfRange, {"dt": np.inf}),
-    "zero dt": (ParameterOutOfRange, {"dt": 0.0}),
-    "negative dt": (ParameterOutOfRange, {"dt": -1e-3}),
-    "inf t_final": (ParameterOutOfRange, {"t_final": np.inf}),
-    "nan t_final": (ParameterOutOfRange, {"t_final": np.nan}),
-    "t_final below one step": (ParameterOutOfRange, {"t_final": 4e-4}),
+    **{case: (ParameterOutOfRange, bad) for case, bad in _BAD_GRIDS.items()},
     "zero n_traj": (ParameterOutOfRange, {"n_traj": 0}),
     "negative n_traj": (ParameterOutOfRange, {"n_traj": -1}),
     "fractional n_traj": (ParameterOutOfRange, {"n_traj": 2.5}),
@@ -443,6 +448,14 @@ def test_conditioned_sampler_rejects_bad_input_before_the_flow(case):
                     side_effect=AssertionError("the flow ran")):
         with pytest.raises(error):
             sample_conditioned_record_gaussian(_optomech(), **kwargs)
+
+
+@pytest.mark.parametrize("case", list(_BAD_GRIDS))
+def test_ostensible_sampler_rejects_bad_grid(homodyne_pipeline, case):
+    spec, _, _ = homodyne_pipeline
+    grid = {"dt": 1e-3, "t_final": 0.1, **_BAD_GRIDS[case]}
+    with pytest.raises(ParameterOutOfRange):
+        sample_ostensible_record(spec, **grid)
 
 
 def test_stochastic_d_zero_temperature_closed_form():
@@ -534,6 +547,45 @@ def test_block_table_keeps_grid_blocks_and_rejects_overflow(homodyne_pipeline):
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(MatrixExpFailure):
         BlockTable(RepMatrix(n_modes=1, matrix=T), 1.0, 3)
+
+
+_BAD_TABLE_GRIDS = {
+    "zero steps": {"steps": 0},
+    "negative steps": {"steps": -3},
+    "fractional steps": {"steps": 2.5},
+    "zero dt": {"dt": 0.0},
+    "negative dt": {"dt": -1e-3},
+    "inf dt": {"dt": np.inf},
+    "nan dt": {"dt": np.nan},
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_TABLE_GRIDS))
+def test_block_table_rejects_bad_grid_before_any_power(homodyne_pipeline,
+                                                       case):
+    _, rep, _ = homodyne_pipeline
+    grid = {"dt": 1e-3, "steps": 10, **_BAD_TABLE_GRIDS[case]}
+    with mock.patch("lintraj.trajectory.expm",
+                    side_effect=AssertionError("a power was formed")):
+        with pytest.raises(ParameterOutOfRange):
+            BlockTable(rep, **grid)
+
+
+@pytest.mark.parametrize("system", ["homodyne", "optomech"])
+def test_block_table_holds_no_per_step_array(system):
+    # 1e6 steps: the factors are ~0.6 MB, where the grid of the inner blocks
+    # alone was 256 MB
+    spec = {"homodyne": lambda: builtin_homodyne_thermal(1.0, 0.3, 0.7),
+            "optomech": _optomech}[system]()
+    rep = rep_of_generator(compute_generator(spec))
+    tracemalloc.start()
+    try:
+        table = BlockTable(rep, 1e-5, 1_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
+    assert np.isfinite(table.final_blocks().Nm1m1).all()
 
 
 def test_accumulate_rejects_record_on_another_grid():
