@@ -149,9 +149,11 @@ def _initial_state(descriptor: str, n_modes: int, dim: int):
             raise DimensionMismatch(
                 f"initial state in {arg} has {rho.size} entries; "
                 f"{n_modes} mode(s) at --fock-dim {dim} need {d * d}")
+        if not np.isfinite(rho).all():
+            raise ConfigError(f"initial state in {arg} has non-finite entries")
         return FockDensityMatrix(n_modes=n_modes, dim_per_mode=dim,
                                  rho=rho.reshape(d, d))
-    raise LintrajError(f"unknown initial state {descriptor!r}")
+    raise ConfigError(f"unknown initial state {descriptor!r}")
 
 
 def _grid_steps(dt: float, t_final: float) -> int:
@@ -297,9 +299,14 @@ def _retrodict_prior(arg: str, n_modes: int) -> dict:
         prior_var = float(var_str or 1.0)
     except ValueError as exc:
         raise ConfigError(f"bad --retrodict prior {arg!r}: {exc}") from None
-    if not (np.isfinite(prior_var) and prior_var > 0):
+    if not np.isfinite(prior_mean).all():
+        raise ConfigError(f"--retrodict prior mean must be finite, "
+                          f"got {mean_str!r}")
+    # the prior enters retrodict_posterior through its inverse
+    if not (np.isfinite(prior_var) and prior_var > 0
+            and np.isfinite(1.0 / prior_var)):
         raise ConfigError(f"--retrodict prior variance must be a positive "
-                          f"number, got {var_str!r}")
+                          f"number with a finite inverse, got {var_str!r}")
     if prior_mean.size != n_modes:
         raise DimensionMismatch(f"--retrodict gives {prior_mean.size} prior "
                                 f"mean(s) for {n_modes} mode(s)")
@@ -484,6 +491,8 @@ def main(argv=None) -> int:
     if args.command == "simulate" and args.out is None:
         parser.error("simulate requires --out")
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except LintrajError as exc:
         error = exc

@@ -53,7 +53,7 @@ def _lindblad_rhs(H, c_ops, cdc_list, rho):
 def _check_tail(rho, n_modes, dim, where):
     tail = FockDensityMatrix(n_modes=n_modes, dim_per_mode=dim,
                              rho=rho).tail_mass()
-    if tail > TAIL_TOL:
+    if not tail <= TAIL_TOL:      # a NaN tail fails too
         raise TruncationOverflow(f"tail population {tail:.3e} at {where}")
 
 

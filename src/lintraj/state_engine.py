@@ -50,6 +50,7 @@ from .errors import (
     DimensionMismatch,
     MatrixExpFailure,
     NonHermitianResult,
+    ParameterOutOfRange,
     TruncationOverflow,
     ZeroTrace,
 )
@@ -156,18 +157,23 @@ def fock_state(n_modes: int, dim: int, levels) -> FockDensityMatrix:
 
 def coherent_state(n_modes: int, dim: int, alpha) -> FockDensityMatrix:
     """Product coherent state, one amplitude per mode, renormalized on the
-    truncation."""
+    truncation.  ParameterOutOfRange for amplitudes, non-finite or too large,
+    whose truncated state does not normalize to finite entries."""
     alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
     if alpha.shape != (n_modes,):
         raise DimensionMismatch(f"{alpha.size} coherent amplitude(s) for "
                                 f"{n_modes} mode(s)")
     psi = np.array([1.0], dtype=complex)
-    for a in alpha:
-        ns = np.arange(dim)
-        coeff = np.exp(-abs(a) ** 2 / 2) * a ** ns / np.sqrt(
-            np.array([float(factorial(n)) for n in ns]))
-        psi = np.kron(psi, coeff)
-    psi /= np.linalg.norm(psi)
+    with np.errstate(over="ignore", invalid="ignore"):     # raised below
+        for a in alpha:
+            ns = np.arange(dim)
+            coeff = np.exp(-abs(a) ** 2 / 2) * a ** ns / np.sqrt(
+                np.array([float(factorial(n)) for n in ns]))
+            psi = np.kron(psi, coeff)
+        psi /= np.linalg.norm(psi)
+    if not np.isfinite(psi).all():
+        raise ParameterOutOfRange(f"coherent amplitudes {alpha.tolist()} do "
+                                  f"not give a finite state on {dim} levels")
     return FockDensityMatrix(n_modes=n_modes, dim_per_mode=dim,
                              rho=np.outer(psi, psi.conj()))
 
@@ -216,57 +222,36 @@ def evolution_superoperators(factors: EvolutionFactors, dim: int):
     """
     import scipy.sparse as sp
 
-    def lift_left(X):
-        return sp.kron(sp.identity(d, format="csr"), X, format="csr")
-
-    def lift_right(X):
-        return sp.kron(X.T, sp.identity(d, format="csr"), format="csr")
-
     def sandwich(left, right):
         # A rho B -> (B^T kron A) vec(rho)
         return sp.kron(right.T, left, format="csr")
+
+    def weighted(total, coef, left, right, pair):
+        # total + sum of coef[i, j] pair(left[i], right[j]) over the nonzero
+        # coefficients, in row-major order
+        for i, j in zip(*np.nonzero(coef)):
+            total = total + coef[i, j] * pair(left[i], right[j])
+        return total
+
+    def species(coef, left, right):
+        # rho -> x rho + rho x^dag, x = sum coef[i, j] left[i] right[j]
+        x = weighted(sp.csr_matrix((d, d), dtype=complex), coef, left, right,
+                     lambda p, q: p @ q)
+        eye = sp.identity(d, format="csr")
+        return sandwich(x, eye) + sandwich(eye, x.conj().T.tocsr())
 
     n = factors.n_modes
     a_ops = [sp.csr_matrix(op) for op in _mode_lowering(n, dim)]
     ad_ops = [op.conj().T.tocsr() for op in a_ops]
     d = dim ** n
 
-    x_ann = sp.csr_matrix((d, d), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if factors.L_prime[i, j] != 0:
-                x_ann = x_ann + factors.L_prime[i, j] * (a_ops[i] @ a_ops[j])
-    s_ann = lift_left(x_ann) + lift_right(x_ann.conj().T.tocsr())
-    for i in range(n):
-        for j in range(n):
-            if factors.L_breve[i, j] != 0:
-                s_ann = s_ann + 2.0 * factors.L_breve[i, j] * sandwich(a_ops[i], ad_ops[j])
-
-    x_num = sp.csr_matrix((d, d), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if factors.D_under[i, j] != 0:
-                x_num = x_num + factors.D_under[i, j] * (ad_ops[i] @ a_ops[j])
-    s_num = lift_left(x_num) + lift_right(x_num.conj().T.tocsr())
-    db_dag = factors.D_breve.conj().T
-    for i in range(n):
-        for j in range(n):
-            if factors.D_breve[i, j] != 0:
-                s_num = s_num + factors.D_breve[i, j] * sandwich(ad_ops[i], ad_ops[j])
-            if db_dag[i, j] != 0:
-                s_num = s_num + db_dag[i, j] * sandwich(a_ops[i], a_ops[j])
-
-    x_cre = sp.csr_matrix((d, d), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if factors.R_prime[i, j] != 0:
-                x_cre = x_cre + factors.R_prime[i, j] * (ad_ops[i] @ ad_ops[j])
-    s_cre = lift_left(x_cre) + lift_right(x_cre.conj().T.tocsr())
-    for i in range(n):
-        for j in range(n):
-            if factors.R_breve[i, j] != 0:
-                s_cre = s_cre + 2.0 * factors.R_breve[i, j] * sandwich(ad_ops[i], a_ops[j])
-
+    s_ann = weighted(species(factors.L_prime, a_ops, a_ops),
+                     2.0 * factors.L_breve, a_ops, ad_ops, sandwich)
+    s_num = weighted(weighted(species(factors.D_under, ad_ops, a_ops),
+                              factors.D_breve, ad_ops, ad_ops, sandwich),
+                     factors.D_breve.conj().T, a_ops, a_ops, sandwich)
+    s_cre = weighted(species(factors.R_prime, ad_ops, ad_ops),
+                     2.0 * factors.R_breve, ad_ops, a_ops, sandwich)
     return s_ann, s_num, s_cre
 
 

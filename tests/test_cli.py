@@ -287,20 +287,42 @@ BAD_INITIAL = {
     "coherent:0.1,0.2": "DimensionMismatch",    # two amplitudes, one mode
     "fock:1,1": "DimensionMismatch",
     "file:missing.json": "ConfigError",
+    "file:nan.json": "ConfigError",             # one NaN entry
+    "squeezed:0.3": "ConfigError",              # no such kind
+    "coherent:nan": "ParameterOutOfRange",
+    "coherent:1e400": "ParameterOutOfRange",    # parses to inf
+    "coherent:1e200": "ParameterOutOfRange",    # its Fock amplitudes overflow
 }
+
+
+def _rejects_initial(command, config, tmp_path, capsys, initial):
+    rho_re = [[1.0] + [0.0] * 19] + [[0.0] * 20] * 19
+    rho_re[3][4] = float("nan")
+    (tmp_path / "nan.json").write_text(json.dumps(
+        {"rho_re": rho_re, "rho_im": [[0.0] * 20] * 20}))
+    out = tmp_path / "run"
+    assert main([command, "--config", config, "--fock-dim", "20",
+                 "--t-final", "0.01", "--initial",
+                 initial.replace("file:", f"file:{tmp_path}/"),
+                 "--out", str(out)]) == 2
+    assert _one_error_line(capsys)["error"] == BAD_INITIAL[initial]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("initial", sorted(BAD_INITIAL))
 def test_simulate_rejects_bad_initial_state(homodyne_config, tmp_path, capsys,
                                             initial):
-    assert main(["simulate", "--config", homodyne_config, "--fock-dim", "20",
-                 "--t-final", "0.01", "--initial",
-                 initial.replace("missing.json", str(tmp_path / "missing.json")),
-                 "--out", str(tmp_path / "run")]) == 2
-    out = capsys.readouterr().out.strip().splitlines()
-    assert len(out) == 1
-    assert json.loads(out[0])["error"] == BAD_INITIAL[initial]
-    assert not (tmp_path / "run").exists()
+    _rejects_initial("simulate", homodyne_config, tmp_path, capsys, initial)
+
+
+@pytest.mark.parametrize("command", ["me", "compare"])
+@pytest.mark.parametrize("initial", ["coherent:nan", "coherent:1e400",
+                                     "coherent:1e200", "file:nan.json",
+                                     "squeezed:0.3"])
+def test_non_finite_or_unknown_initial_state_is_named(homodyne_config,
+                                                      tmp_path, capsys,
+                                                      command, initial):
+    _rejects_initial(command, homodyne_config, tmp_path, capsys, initial)
 
 
 _EXPLICIT = ('{{"n_modes": {n_modes}, "n_channels": 1, "G": {G}, '
@@ -393,7 +415,8 @@ def test_povm_retrodict_prior_per_mode(tmp_path, capsys, rng):
     assert _error_of(capsys) == "DimensionMismatch"
 
 
-@pytest.mark.parametrize("variance", ["0", "-1", "nan", "inf"])
+# 1e-320 is positive, but its inverse overflows to an all-"inf" covariance
+@pytest.mark.parametrize("variance", ["0", "-1", "nan", "inf", "1e-320"])
 def test_povm_retrodict_rejects_bad_prior_variance(homodyne_config, tmp_path,
                                                    capsys, variance):
     out = tmp_path / "povm.json"
@@ -402,6 +425,29 @@ def test_povm_retrodict_rejects_bad_prior_variance(homodyne_config, tmp_path,
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "ConfigError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mean", ["nan", "inf", "1e400"])
+def test_povm_retrodict_rejects_non_finite_prior_mean(homodyne_config,
+                                                      tmp_path, capsys, mean):
+    # such a mean used to reach povm.json as "mean_re": [NaN], not JSON
+    out = tmp_path / "povm.json"
+    assert main(["povm", "--config", homodyne_config, "--t-final", "0.05",
+                 "--out", str(out), "--retrodict", f"{mean}:1"]) == 2
+    assert _one_error_line(capsys)["error"] == "ConfigError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "povm", "adjoint", "compare"])
+def test_negative_seed_is_a_config_error(homodyne_config, tmp_path, capsys,
+                                         command):
+    out = tmp_path / "out"
+    assert main([command, "--config", homodyne_config, "--seed", "-1",
+                 "--t-final", "0.01", "--out", str(out)]) == 2
+    error = _one_error_line(capsys)
+    assert error["error"] == "ConfigError"
+    assert "--seed" in error["message"]
     assert not out.exists()
 
 

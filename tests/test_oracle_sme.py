@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
-from lintraj.oracle_sme import integrate_linear_sme, integrate_me
+from lintraj.errors import TruncationOverflow
+from lintraj.oracle_sme import _check_tail, integrate_linear_sme, integrate_me
 from lintraj.state_engine import (
     coherent_state,
     expectation,
@@ -153,3 +155,10 @@ def test_ostensible_trace_averages_to_one():
     traces = np.array(traces)
     se = traces.std() / np.sqrt(len(traces))
     assert abs(traces.mean() - 1.0) < 3 * se + 5e-3
+
+
+def test_tail_check_fails_a_nan_state():
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = np.nan
+    with pytest.raises(TruncationOverflow):
+        _check_tail(rho, 1, 4, "t=0")

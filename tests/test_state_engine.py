@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from lintraj import state_engine
-from lintraj.errors import DimensionMismatch, MatrixExpFailure, ZeroTrace
+from lintraj.errors import (
+    DimensionMismatch,
+    MatrixExpFailure,
+    ParameterOutOfRange,
+    ZeroTrace,
+)
 from lintraj.lie_rep import (
     normal_order_linear,
     propagator_blocks,
@@ -67,6 +72,15 @@ def test_coherent_state_mean():
     state = coherent_state(1, D, alpha)
     a, _, _ = fock_operators(D)
     assert abs(expectation(state, a) - alpha) < 1e-6
+
+
+# 1e200 overflows its Fock amplitudes; at 40, exp(-|alpha|^2 / 2)
+# underflows every amplitude on 20 levels, so nothing is left to normalize
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, 1e200, 40.0])
+def test_coherent_state_rejects_amplitudes_without_a_finite_state(alpha):
+    # warnings are errors here, so this also checks that none is emitted
+    with pytest.raises(ParameterOutOfRange):
+        coherent_state(1, 20, alpha)
 
 
 def test_vacuum_and_fock_states():
@@ -210,6 +224,41 @@ def test_two_mode_application_against_oracle():
     assert trace_distance(normalized.rho, onorm.rho) < 1e-3
     weight = trace * np.exp(np.real(ints.h))
     assert abs(weight - otrace) / otrace < 3e-2   # oracle trace error is O(dt)
+
+
+def test_two_mode_lifts_match_their_defining_action(rng):
+    # a generic two-mode spec couples the modes, so every i != j coefficient
+    # of the three species is nonzero; each lift applied to a random rho is
+    # compared with x rho + rho x^dag plus its sandwich terms, built from
+    # dense per-mode lowering operators
+    dim = 3
+    spec = random_spec(2, 2, rng)
+    factors = EvolutionFactors.from_blocks(
+        propagator_blocks(rep_of_generator(compute_generator(spec)), 0.4))
+    for coef in (factors.L_prime, factors.L_breve, factors.D_under,
+                 factors.D_breve, factors.R_prime, factors.R_breve):
+        assert np.all(coef != 0)
+    a = state_engine._mode_lowering(2, dim)
+    ad = [op.conj().T for op in a]
+    shape = (dim ** 2, dim ** 2)
+    rho = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    pairs = [(i, j) for i in range(2) for j in range(2)]
+
+    def action(coef, left, right, sandwiches):
+        x = sum(coef[i, j] * left[i] @ right[j] for i, j in pairs)
+        return x @ rho + rho @ x.conj().T + sum(
+            w[i, j] * lo[i] @ rho @ ro[j]
+            for w, lo, ro in sandwiches for i, j in pairs)
+
+    want = (
+        action(factors.L_prime, a, a, [(2 * factors.L_breve, a, ad)]),
+        action(factors.D_under, ad, a, [(factors.D_breve, ad, ad),
+                                        (factors.D_breve.conj().T, a, a)]),
+        action(factors.R_prime, ad, ad, [(2 * factors.R_breve, ad, a)]),
+    )
+    for lift, w in zip(evolution_superoperators(factors, dim), want):
+        got = (lift @ rho.reshape(-1, order="F")).reshape(rho.shape, order="F")
+        assert np.abs(got - w).max() <= 1e-12 * np.abs(w).max()
 
 
 def test_conditioned_moments_match_forward_filter():

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import tracemalloc
@@ -16,7 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lintraj import trajectory
-from lintraj.errors import ConfigError, DimensionMismatch, ParameterOutOfRange
+from lintraj.errors import (
+    ConfigError,
+    CrossCheckFailure,
+    DimensionMismatch,
+    ParameterOutOfRange,
+)
 from lintraj.lie_rep import rep_of_generator
 from lintraj.parameterization import compute_generator, compute_noise_couplings
 from lintraj.system import builtin_homodyne_thermal, builtin_optomech_squeezing
@@ -89,7 +95,24 @@ def test_integrals_pairing_invariant(homodyne_pipeline):
     rec = sample_ostensible_record(spec, 1e-3, 0.7, seed=3)
     table = BlockTable(rep, 1e-3, rec.steps)
     ints = accumulate_integrals(table, nc, rec)
-    assert ints.check_pairing() <= 1e-12
+    assert trajectory._pairing_residuals(ints.l_prime, ints.r_prime) <= 1e-12
+
+
+def test_ensemble_names_the_first_record_that_loses_pairing():
+    # a stiff mode: lambda_max T = 250 is far past where float64 keeps the
+    # two halves of l' and r' conjugate; an all-zero record stays paired
+    spec = builtin_homodyne_thermal(1000.0, 0.2, 0.8)
+    rep = rep_of_generator(compute_generator(spec))
+    nc = compute_noise_couplings(spec)
+    table = BlockTable(rep, 1e-3, 500)
+    y = np.zeros((3, 500, 4))
+    y[1:, :, 0] = np.random.default_rng(8).normal(size=(2, 500)) / np.sqrt(1e-3)
+    with pytest.raises(CrossCheckFailure, match=r"^record 1: integrals violate "
+                                                r"conjugate pairing"):
+        accumulate_integrals_ensemble(table, nc, y)
+    # one record: the message names no record
+    with pytest.raises(CrossCheckFailure, match=r"^integrals violate"):
+        accumulate_integrals(table, nc, MeasurementRecord(dt=1e-3, y=y[2]))
 
 
 def test_zero_temperature_kills_r_prime():
@@ -278,10 +301,13 @@ def test_accumulation_memory_stays_within_chunk_budget(homodyne_pipeline):
             compute_noise_couplings(optomech), 6)
     # an ensemble, and single 5e4-step records, where a group of scan blocks
     # spans thousands of steps; on optomech (k = 2 coupled columns) block
-    # matrices M_c built for the whole grid at once would exceed the bound
-    for (rep_, nc_, n_cols), n_traj, steps in (((rep, nc, 4), 200, 4000),
-                                               ((rep, nc, 4), 1, 50_000),
-                                               (opto, 1, 50_000)):
+    # matrices M_c built for the whole grid at once would exceed the bound.
+    # The homodyne record (t = 50) loses the conjugate pairing of (l', r'),
+    # so its call ends in CrossCheckFailure after the whole scan
+    for (rep_, nc_, n_cols), n_traj, steps, unpaired in (
+            ((rep, nc, 4), 200, 4000, False),
+            ((rep, nc, 4), 1, 50_000, True),
+            (opto, 1, 50_000, False)):
         table = BlockTable(rep_, 1e-3, steps)
         y = np.random.default_rng(5).normal(size=(n_traj, steps, n_cols))
         k = int((np.any(nc_.W_l != 0, axis=1) | np.any(nc_.W_r != 0, axis=1)).sum())
@@ -293,7 +319,9 @@ def test_accumulation_memory_stays_within_chunk_budget(homodyne_pipeline):
         budget_bytes = trajectory._STREAM_CHUNK * 256 + steps * k * 4 * 16
         tracemalloc.start()
         try:
-            accumulate_integrals_ensemble(table, nc_, y)
+            with (pytest.raises(CrossCheckFailure) if unpaired
+                  else contextlib.nullcontext()):
+                accumulate_integrals_ensemble(table, nc_, y)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -331,7 +359,7 @@ def test_integrals_keep_conjugate_pairing(n, ell, steps, dt, seed):
     y = rng.normal(size=(steps, 2 * ell)) / np.sqrt(dt)
     ints = accumulate_integrals(table, compute_noise_couplings(spec),
                                 MeasurementRecord(dt=dt, y=y))
-    assert ints.check_pairing() <= 1e-12
+    assert trajectory._pairing_residuals(ints.l_prime, ints.r_prime) <= 1e-12
 
 
 def test_conditioned_record_vacuum_statistics():
