@@ -37,9 +37,11 @@ import numpy as np
 
 from ._linalg import expm
 from .errors import CrossCheckFailure, FilterDivergence, RiccatiBlowup
-from .lie_rep import _POWER_CHUNK, step_powers
 from .system import SystemSpec
 from .trajectory import MeasurementRecord, checked_currents
+
+# steps per segment of backward_sweep; its step powers take 66 kB at N = 1
+_POWER_CHUNK = 512
 
 INFO_FLOOR = 1e-12
 # largest residual crosscheck_against_povm accepts between the two routes
@@ -148,6 +150,18 @@ def integrate_backward(mats: KalmanMatrices,
     return backward_sweep(mats, record, 1)[3]
 
 
+def step_powers(step: np.ndarray, count: int) -> np.ndarray:
+    """(count + 1, d, d) stack of the powers step^k, k = 0..count, each the
+    sequential product step^(k-1) @ step.  Every product is its own GEMM,
+    too small for OpenBLAS to thread; threaded GEMMs this small were seen
+    to stall for up to ~0.8 s in a fresh process on a 2-core host."""
+    powers = np.empty((count + 1,) + step.shape, dtype=step.dtype)
+    acc = powers[0] = np.eye(len(step), dtype=step.dtype)
+    for k in range(1, count + 1):
+        acc = powers[k] = acc @ step
+    return powers
+
+
 def backward_sweep(mats: KalmanMatrices, record: MeasurementRecord,
                    n_samples: int):
     """(taus, xs, Vs, moments): the exact backward sweep, sampled about
@@ -164,7 +178,7 @@ def backward_sweep(mats: KalmanMatrices, record: MeasurementRecord,
     The sweep runs in segments of up to ``_POWER_CHUNK`` steps, each ending
     at the next sample point at the latest, so the samples and taus are
     those of a per-step sweep.  The powers P^0..P^C of the one-step flow P
-    are formed once per call (:func:`~lintraj.lie_rep.step_powers`).  A
+    are formed once per call (:func:`step_powers`).  A
     segment of n steps from k0 adds sum_i g_{k0+i} P^i [X; Y]_{k0} to w as
     one product of the flattened record slices with the stacked
     P^i [X; Y]_{k0}, then sets [X; Y] <- P^n [X; Y].  This reorders the

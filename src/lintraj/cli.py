@@ -485,17 +485,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "simulate" and args.out is None:
-        parser.error("simulate requires --out")
+def _run(args) -> int:
+    """``args.fn(args)``; a LintrajError or an output that cannot be
+    written is one JSON line on stdout and exit code 2."""
     try:
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except LintrajError as exc:
         error = exc
+    except BrokenPipeError:
+        raise                   # stdout itself is closed: main handles it
     except OSError as exc:
         # every input file is read behind a ConfigError, so this is an
         # output that cannot be written
@@ -503,6 +503,24 @@ def main(argv=None) -> int:
                             f"{exc.strerror}")
     print(json.dumps({"error": type(error).__name__, "message": str(error)}))
     return 2
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "simulate" and args.out is None:
+        parser.error("simulate requires --out")
+    try:
+        code = _run(args)
+        # a closed stdout raises here, not in the interpreter's last flush
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone (``lintraj ... | head -1``): point stdout
+        # at devnull, the Python docs' recipe, so that the final flush
+        # does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -34,10 +34,6 @@ from .errors import LogBranchFailure, MatrixExpFailure, SingularBlock
 from .parameterization import QuadraticForm, half_swap
 
 _COND_LIMIT = 1e12
-# powers of the single step formed per call (a multiple of 8): the factors
-# P^1..P^C of a BlockTable and the segments of integrate_backward; small
-# enough (~0.3 MB at N = 1) to stay off the peak memory
-_POWER_CHUNK = 512
 
 
 def flip(n_doubled: int) -> np.ndarray:
@@ -140,18 +136,6 @@ def propagator_blocks(rep: RepMatrix, t: float) -> PropagatorBlocks:
     if not np.all(np.isfinite(T)):
         raise MatrixExpFailure(f"non-finite entries in expm at t={t}")
     return PropagatorBlocks.from_matrix(rep.n_modes, t, T)
-
-
-def step_powers(step: np.ndarray, count: int) -> np.ndarray:
-    """(count + 1, d, d) stack of the powers step^k, k = 0..count, each the
-    sequential product step^(k-1) @ step.  Every product is its own GEMM,
-    too small for OpenBLAS to thread; threaded GEMMs this small were seen
-    to stall for up to ~0.8 s in a fresh process on a 2-core host."""
-    powers = np.empty((count + 1,) + step.shape, dtype=step.dtype)
-    acc = powers[0] = np.eye(len(step), dtype=step.dtype)
-    for k in range(1, count + 1):
-        acc = powers[k] = acc @ step
-    return powers
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,9 @@ from .trajectory import TrajectoryIntegrals
 
 DEFAULT_TAIL_TOL = 1e-8
 HERMITICITY_TOL = 1e-9
+# 170! is the largest factorial below the float64 limit: the factorial tables
+# of a truncation of D levels reach (D - 1)!
+_MAX_LEVELS = 171
 
 
 def fock_operators(dim: int):
@@ -74,10 +77,20 @@ def fock_operators(dim: int):
     return a, a.T.copy(), np.diag(np.arange(dim, dtype=float))
 
 
+def _check_factorial_levels(dim: int) -> None:
+    """ParameterOutOfRange for a truncation whose factorials overflow the
+    floats, before any of them is converted."""
+    if dim > _MAX_LEVELS:
+        raise ParameterOutOfRange(f"{dim} levels need {dim - 1}! as a float, "
+                                  f"which overflows; the largest truncation "
+                                  f"is {_MAX_LEVELS} levels")
+
+
 @lru_cache(maxsize=32)
 def _lowering_exp_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(T, k) with T[m, n] = sqrt(n!/m!) / (n - m)! and k = n - m on and
     above the diagonal (T = 0 below it)."""
+    _check_factorial_levels(dim)
     T = np.array([[np.sqrt(factorial(n) / factorial(m)) / factorial(n - m)
                    if n >= m else 0.0 for n in range(dim)] for m in range(dim)])
     m, n = np.indices((dim, dim))
@@ -158,7 +171,9 @@ def fock_state(n_modes: int, dim: int, levels) -> FockDensityMatrix:
 def coherent_state(n_modes: int, dim: int, alpha) -> FockDensityMatrix:
     """Product coherent state, one amplitude per mode, renormalized on the
     truncation.  ParameterOutOfRange for amplitudes, non-finite or too large,
-    whose truncated state does not normalize to finite entries."""
+    whose truncated state does not normalize to finite entries, and for a
+    truncation past ``_MAX_LEVELS``."""
+    _check_factorial_levels(dim)
     alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
     if alpha.shape != (n_modes,):
         raise DimensionMismatch(f"{alpha.size} coherent amplitude(s) for "
@@ -307,6 +322,7 @@ def _raising_sandwich_table(dim: int) -> tuple:
     with weight w c^k, w = sqrt(m!/(m-k)!) sqrt(n!/(n-k)!) / k!.  Both
     entries lie on the diagonal n - m, so the series is the lower-triangular
     (row, col) = (m, m - k) entry of that block of the diagonal layout."""
+    _check_factorial_levels(dim)
     levels = np.arange(dim)
     # root falling factorials rf[m, k] = sqrt(m!/(m-k)!), zero for k > m
     rf = np.ones((dim, dim))

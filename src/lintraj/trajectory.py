@@ -7,6 +7,7 @@ blocks evaluated at ``t = j dt``.  All sums follow the Ito convention.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ from .errors import (
     ParameterOutOfRange,
 )
 from ._linalg import expm
-from .lie_rep import _POWER_CHUNK, PropagatorBlocks, RepMatrix, step_powers
+from .lie_rep import PropagatorBlocks, RepMatrix
 from .parameterization import NoiseCouplings
 from .system import SystemSpec
 
@@ -37,6 +38,8 @@ _STREAM_CHUNK = 2 ** 16
 _CSV_BLOCK = 1024
 # relative bound on the conjugate-pairing residual of (l', r')
 PAIRING_TOL = 1e-10
+# matrices per stacked expm of a BlockTable: ~1 MB of temporaries at N = 1
+_EXPM_STACK = 128
 
 
 @dataclass(frozen=True)
@@ -192,14 +195,15 @@ class BlockTable:
 
     The propagator at t_j is P^j, P = expm(rep dt).  Every generator image
     has a zero first row and last column, so inner 4N x 4N blocks multiply
-    as the whole matrices do.  With C = min(_POWER_CHUNK, steps), the inner
-    block at t = (qC + i + 1) dt is ``powers[i] @ bases[q]``: ``powers``
-    holds those of P^1..P^C, sequential products (:func:`step_powers`), and
-    ``bases`` those of P^(qC), each the one product P^C P^((q-1)C).
-    ``final`` is the whole propagator at t = steps dt.  No attribute has a
-    per-step axis.  No eigendecomposition: every generator image is
-    defective (its nonzero corner entry joins the two zero eigenvalues into
-    a Jordan block), so its eigenvectors are never well conditioned.
+    as the whole matrices do.  With C = ceil(sqrt(steps)), the inner block
+    at t = (qC + i + 1) dt is ``powers[i] @ bases[q]``: ``powers`` holds
+    those of P^1..P^C, ``bases`` those of P^(qC), and ``final`` is the whole
+    propagator at t = steps dt.  Each is its own exponential expm(rep j dt),
+    not a product of j rounded steps, whose error grows with j.  No
+    attribute has a per-step axis.  No eigendecomposition: every generator
+    image is defective (its nonzero corner entry joins the two zero
+    eigenvalues into a Jordan block), so its eigenvectors are never well
+    conditioned.
 
     ParameterOutOfRange for a dt that is not finite and > 0 or steps that
     is not a positive integer; MatrixExpFailure if a factor overflows.
@@ -214,19 +218,17 @@ class BlockTable:
         self.n_modes = rep.n_modes
         self.dt = dt
         self.steps = steps
-        chunk = min(_POWER_CHUNK, steps)
-        full = step_powers(expm(rep.matrix * dt), chunk)
-        self.powers = full[1:, 1:-1, 1:-1].copy()
-        self.bases = np.empty((-(-steps // chunk),) + self.powers.shape[1:],
-                              dtype=complex)
-        self.bases[0] = np.eye(len(self.bases[0]))
-        base = full[0]
-        for q in range(1, len(self.bases)):
-            base = full[chunk] @ base
-            self.bases[q] = base[1:-1, 1:-1]
-        self.final = full[steps - (len(self.bases) - 1) * chunk] @ base
-        if not all(np.isfinite(a).all()
-                   for a in (self.powers, self.bases, self.final)):
+        chunk = math.isqrt(steps - 1) + 1
+        n_bases = -(-steps // chunk)
+        # one time vector: the powers' i dt, the bases' qC dt, then steps dt
+        j = np.r_[1:chunk + 1, chunk * np.arange(n_bases), steps]
+        inner = np.empty((len(j), rep.dim - 2, rep.dim - 2), dtype=complex)
+        for i0 in range(0, len(j), _EXPM_STACK):
+            full = expm(rep.matrix * (dt * j[i0:i0 + _EXPM_STACK, None, None]))
+            inner[i0:i0 + _EXPM_STACK] = full[:, 1:-1, 1:-1]
+        self.powers, self.bases = inner[:chunk], inner[chunk:-1]
+        self.final = full[-1].copy()
+        if not (np.isfinite(inner).all() and np.isfinite(self.final).all()):
             raise MatrixExpFailure("non-finite propagator powers")
 
     def final_blocks(self) -> PropagatorBlocks:

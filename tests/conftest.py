@@ -614,21 +614,6 @@ def apply_evolution_power_series(rho0, factors, l_u, r_u, sigma):
                              rho=rho * np.exp(factors.delta_prime + sigma))
 
 
-def sequential_powers(rep, dt, steps):
-    """Test oracle for the factors of a ``BlockTable``: the
-    (steps, 4N+2, 4N+2) propagators at j = 1..steps, one sequential product
-    with the single-step propagator per step.  The step is the library's own
-    exponential, so the table's ``powers`` are the inner blocks of the first
-    C of these products bitwise."""
-    step = _linalg.expm(rep.matrix * dt)
-    acc = np.eye(rep.dim, dtype=complex)
-    out = np.empty((steps, rep.dim, rep.dim), dtype=complex)
-    for k in range(steps):
-        acc = acc @ step
-        out[k] = acc
-    return out
-
-
 def table_grid(table):
     """The (steps, 4N, 4N) inner propagator blocks at j = 1..steps, rebuilt
     from a ``BlockTable``'s two factor stacks: step j = qC + i (0-based) is

@@ -10,6 +10,7 @@ from conftest import (
 from scipy.linalg import expm
 
 from lintraj.adjoint_kalman import (
+    _POWER_CHUNK,
     _riccati_flow_matrix,
     backward_sweep,
     crosscheck_against_povm,
@@ -23,7 +24,7 @@ from lintraj.errors import (
     FilterDivergence,
     RiccatiBlowup,
 )
-from lintraj.lie_rep import _POWER_CHUNK, povm_blocks, rep_of_generator
+from lintraj.lie_rep import povm_blocks, rep_of_generator
 from lintraj.parameterization import compute_generator, compute_noise_couplings
 from lintraj.povm import effect_from_blocks, optomech_closed_form
 from lintraj.system import (

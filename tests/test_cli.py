@@ -97,6 +97,15 @@ def test_povm_command_closed_form_residual(homodyne_config, tmp_path, capsys):
     assert "posterior" in payload
 
 
+def test_povm_long_record_passes_the_pairing(homodyne_config, tmp_path):
+    # t = 25 at dt 1e-2: a block table chained from one rounded step failed
+    # the conjugate pairing here (2.0e-9); direct exponentials pass it
+    out = tmp_path / "povm.json"
+    assert main(["povm", "--config", homodyne_config, "--dt", "1e-2",
+                 "--t-final", "25", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["closed_form_residual"] < 1e-10
+
+
 def test_povm_command_retrodict_with_prior(homodyne_config, tmp_path):
     out = str(tmp_path / "povm.json")
     assert main(["povm", "--config", homodyne_config, "--seed", "5",
@@ -451,12 +460,13 @@ def test_negative_seed_is_a_config_error(homodyne_config, tmp_path, capsys,
     assert not out.exists()
 
 
-def _fresh_python(*args) -> subprocess.CompletedProcess:
-    """``python *args`` in a fresh interpreter that imports this checkout."""
+def _fresh_python(*args, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports this checkout,
+    with stderr captured, and stdout too unless another one is given."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1]
                                            / "src")}
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=300)
 
 
 def test_simulate_overflow_is_one_json_line_and_clean_stderr(tmp_path):
@@ -482,7 +492,7 @@ def test_failed_simulate_leaves_no_output_directory(homodyne_config, tmp_path):
     # the run writes nothing, not even its manifest or states/
     out = tmp_path / "run"
     proc = _fresh_python("-m", "lintraj.cli", "simulate",
-                         "--config", homodyne_config, "--t-final", "30",
+                         "--config", homodyne_config, "--t-final", "40",
                          "--dt", "1e-2", "--fock-dim", "8", "--out", str(out))
     assert proc.returncode == 2
     lines = proc.stdout.strip().splitlines()
@@ -490,6 +500,40 @@ def test_failed_simulate_leaves_no_output_directory(homodyne_config, tmp_path):
     assert json.loads(lines[0])["error"] == "CrossCheckFailure"
     assert proc.stderr == ""
     assert not out.exists()
+
+
+def test_fock_dim_past_171_levels_is_out_of_range(homodyne_config, tmp_path):
+    # 171! overflows the floats: the factorial tables of 172 levels used to
+    # end in an OverflowError traceback, even from the vacuum
+    out = tmp_path / "run"
+    proc = _fresh_python("-m", "lintraj.cli", "simulate",
+                         "--config", homodyne_config, "--fock-dim", "172",
+                         "--initial", "vacuum", "--t-final", "0.05",
+                         "--dt", "1e-2", "--trajectories", "1",
+                         "--out", str(out))
+    assert proc.returncode == 2
+    lines = proc.stdout.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ParameterOutOfRange"
+    assert proc.stderr == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_exits_without_a_traceback(homodyne_config, monkeypatch,
+                                                 unbuffered):
+    # stdout is a pipe whose reader is gone (as in `lintraj ... | head -0`):
+    # nothing can be said on it, and nothing goes to stderr either
+    monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _fresh_python("-m", "lintraj.cli", "validate",
+                             "--config", homodyne_config, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 # one-mode commands through cli.main, then a two-mode simulate, in one process
@@ -730,9 +774,9 @@ def _one_error_line(capsys) -> dict:
 @pytest.mark.parametrize("command", ["povm", "simulate", "adjoint"])
 def test_long_record_pairing_failure_is_a_crosscheck_failure(
         homodyne_config, tmp_path, capsys, command):
-    # at t = 30 the two halves of l' and r' drift apart beyond the pairing
+    # at t = 40 the two halves of l' and r' drift apart beyond the pairing
     # bound; the failure is named, not a ValueError traceback
-    argv = [command, "--config", homodyne_config, "--t-final", "30",
+    argv = [command, "--config", homodyne_config, "--t-final", "40",
             "--dt", "1e-2", "--out", str(tmp_path / "out")]
     if command == "simulate":
         argv += ["--fock-dim", "8"]

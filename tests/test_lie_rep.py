@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from lintraj import _linalg, lie_rep, trajectory
+from lintraj import _linalg, lie_rep
 from lintraj.errors import LogBranchFailure, SingularBlock
 from lintraj.lie_rep import (
     PropagatorBlocks,
@@ -39,7 +39,6 @@ from conftest import (
     reconstruct_from_factors,
     reorder_linear_increment,
     rep_linear_factor,
-    sequential_powers,
     table_grid,
 )
 
@@ -168,9 +167,9 @@ def test_propagator_grid_matches_direct(rng):
     assert block_table_residual(BlockTable(rep, 0.05, 12), rep) < 1e-10
 
 
-@pytest.mark.parametrize("steps", [1, 7, 8, 9, 29])     # chunk C = 8
+@pytest.mark.parametrize("steps", [1, 7, 8, 9, 29, 2000])
 @pytest.mark.parametrize("system", ["homodyne", "optomech", "random N=2"])
-def test_blocked_powers_match_sequential_oracle(monkeypatch, system, steps):
+def test_block_table_factors_are_their_own_exponentials(system, steps):
     spec = {"homodyne": lambda: builtin_homodyne_thermal(1.0, 0.3, 0.7),
             "optomech": lambda: builtin_optomech_squeezing(1.0, 0.8, 0.5,
                                                            0.2, 0.3),
@@ -178,43 +177,42 @@ def test_blocked_powers_match_sequential_oracle(monkeypatch, system, steps):
             }[system]()
     rep = rep_of_generator(compute_generator(spec))
     dt = 0.01
-    monkeypatch.setattr(trajectory, "_POWER_CHUNK", 8)
     table = BlockTable(rep, dt, steps)
-    c = min(8, steps)
+    c = int(np.ceil(np.sqrt(steps)))
     assert table.powers.shape[0] == c
-    assert table.bases.shape[0] == -(-steps // 8)
-    got = table_grid(table)
-    want = sequential_powers(rep, dt, steps)
-    # the powers are the inner blocks of the sequential products themselves
-    assert np.array_equal(table.powers, want[:c, 1:-1, 1:-1])
-    scale = np.abs(want).max(axis=(1, 2))
-    assert (np.abs(got - want[:, 1:-1, 1:-1]).max(axis=(1, 2))
-            <= 1e-12 * scale).all()
-    assert np.abs(table.final - want[-1]).max() <= 1e-12 * scale[-1]
+    assert table.bases.shape[0] == -(-steps // c)
+
+    def inner(j):
+        return _linalg.expm(rep.matrix * (dt * j))[1:-1, 1:-1]
+
+    # each factor is the library's exponential at its own time, bitwise
+    for i, power in enumerate(table.powers):
+        assert np.array_equal(power, inner(i + 1))
+    for q, base in enumerate(table.bases):
+        assert np.array_equal(base, inner(q * c))
+    assert np.array_equal(table.final, _linalg.expm(rep.matrix * (dt * steps)))
+    # relative to the largest entry: at 2000 steps (t = 20) the unstable
+    # directions have grown to ~1e4 (homodyne) and ~1e22 (random N=2)
+    scale = max(1.0, np.abs(table.final).max())
+    assert block_table_residual(table, rep) <= 1e-12 * scale
 
 
 def test_blocked_powers_match_direct_expm_on_long_grid():
-    # every 1000th step of a 5e4-step grid, against expm(rep j dt) directly.
-    # Both routes inherit the rounding of the one-step propagator, j-fold
-    # (~4e-12 here); the blocked table may sit further off only by its own
-    # distance to the sequential products (~3e-13 measured)
+    # every 1000th step of a 5e4-step grid, against scipy's expm(rep j dt).
+    # A product of j rounded one-step propagators sat ~4e-12 off here; a
+    # product of two exponentials sits within a few ulps (<= 6e-15 measured)
     for spec in (builtin_homodyne_thermal(1.0, 0.3, 0.7),
                  builtin_optomech_squeezing(1.0, 0.8, 0.5, 0.2, 0.3)):
         rep = rep_of_generator(compute_generator(spec))
         dt, steps = 1e-4, 50_000
         table = BlockTable(rep, dt, steps)
         got = table_grid(table)[999::1000]
-        seq = sequential_powers(rep, dt, steps)[999::1000, 1:-1, 1:-1]
         want = np.array([expm(rep.matrix * (j + 1) * dt)[1:-1, 1:-1]
                          for j in range(999, steps, 1000)])
-        blocked_err = np.abs(got - want).max() / np.abs(want).max()
-        sequential_err = np.abs(seq - want).max() / np.abs(want).max()
-        assert sequential_err < 1e-11
-        assert blocked_err <= sequential_err + 1e-12
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         # the final propagator, corner entry included
         want = expm(rep.matrix * steps * dt)
-        final_err = np.abs(table.final - want).max() / np.abs(want).max()
-        assert final_err <= sequential_err + 1e-12
+        assert np.abs(table.final - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_propagator_grid_defective_fallback():

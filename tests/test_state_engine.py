@@ -83,6 +83,18 @@ def test_coherent_state_rejects_amplitudes_without_a_finite_state(alpha):
         coherent_state(1, 20, alpha)
 
 
+@pytest.mark.parametrize("builder", [
+    lambda dim: coherent_state(1, dim, 0.5),
+    state_engine._lowering_exp_table,
+    state_engine._raising_sandwich_table,
+], ids=["coherent_state", "lowering_exp_table", "raising_sandwich_table"])
+def test_factorial_tables_stop_at_171_levels(builder):
+    # 171! overflows the floats: one level more is a named error, not an
+    # OverflowError from a factorial's conversion
+    with pytest.raises(ParameterOutOfRange, match="171 levels"):
+        builder(172)
+
+
 def test_vacuum_and_fock_states():
     v = vacuum_state(1, 6)
     _, _, nop = fock_operators(6)

@@ -601,8 +601,9 @@ def test_block_table_rejects_bad_grid_before_any_power(homodyne_pipeline,
 
 @pytest.mark.parametrize("system", ["homodyne", "optomech"])
 def test_block_table_holds_no_per_step_array(system):
-    # 1e6 steps: the factors are ~0.6 MB, where the grid of the inner blocks
-    # alone was 256 MB
+    # 1e6 steps: 1000 powers and 1000 bases, ~0.5 MB, where the grid of the
+    # inner blocks alone was 256 MB; exponentiated 128 at a time, the build
+    # peaks near 1.3 MB
     spec = {"homodyne": lambda: builtin_homodyne_thermal(1.0, 0.3, 0.7),
             "optomech": _optomech}[system]()
     rep = rep_of_generator(compute_generator(spec))
