@@ -6,7 +6,7 @@ squarings or square roots than the others simply sits out the extra ones, so
 a stacked call gives each matrix the result it gets on its own.
 
 * :func:`expm` is the [13/13] Pade scaling and squaring of Higham, SIAM J.
-  Matrix Anal. Appl. 26 (2005) 1179.
+  Matrix Anal. Appl. 26 (2005) 1179; :func:`expm_table` tables it.
 * :func:`logm` is inverse scaling and squaring: square roots by the scaled
   product form of the Denman-Beavers iteration until the matrix is within
   ``_LOG_THETA`` of the identity, then the [12/12] Pade approximant of
@@ -16,6 +16,8 @@ a stacked call gives each matrix the result it gets on its own.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -34,6 +36,8 @@ _PADE_13 = tuple(b / 64764752532480000.0 for b in (
 # accurate to unit roundoff (its scalar error is below 1e-19 on |x| <= 0.5)
 _LOG_THETA = 0.5
 _LOG_PADE = 12
+# matrices per stacked expm of expm_table: ~1 MB of temporaries at 6 x 6
+_EXPM_STACK = 128
 # Denman-Beavers steps per square root, and square roots per logarithm, that
 # no matrix off the closed negative real axis needs
 _MAX_ITER = 100
@@ -100,6 +104,23 @@ def expm(A) -> np.ndarray:
     if bad.any():
         R[bad] = np.nan
     return R.reshape(shape)
+
+
+def expm_table(A: np.ndarray, dt: float, steps: int, block=np.s_[:, :]):
+    """(powers, bases, final): exp(A k dt), k = 0..steps, factored.  With
+    C = ceil(sqrt(steps)), powers[i] = exp(A i dt), i = 0..C, and
+    bases[q] = exp(A qC dt), q = 0..steps // C, each its own exponential
+    cropped to ``block``, so exp(A k dt) = powers[i] @ bases[q] for
+    k = qC + i; ``final`` is the whole exp(A steps dt)."""
+    chunk = math.isqrt(max(steps - 1, 0)) + 1
+    times = dt * np.r_[0:chunk + 1, chunk * np.arange(steps // chunk + 1),
+                       steps]
+    table = np.empty((len(times),) + np.empty(A.shape)[block].shape,
+                     dtype=np.result_type(A, float))
+    for i in range(0, len(times), _EXPM_STACK):
+        full = expm(A * times[i:i + _EXPM_STACK, None, None])
+        table[i:i + _EXPM_STACK] = full[(...,) + block]
+    return table[:chunk + 1], table[chunk + 1:-1], full[-1].copy()
 
 
 def _sqrtm(X: np.ndarray) -> np.ndarray:

@@ -15,9 +15,10 @@ Backward: Lambda = Y X^{-1} with [X; Y] on the linear Riccati flow.  The flow
 keeps [X; Y] Lagrangian, X^T Y = Y^T X (it starts at zero and its derivative
 Y^T Cm Y + X^T 4 B^T B X is symmetric), so the sweep's record kernel
 X^T (2 B^T + Lambda S^T) is [X; Y]^T [2 B^T; S^T] and needs no inverse of X.
-The flow is linear and its one-step matrix is fixed, so :func:`backward_sweep`
-advances in segments over stacked powers of that step instead of one step at
-a time.  Its test oracles in ``tests/conftest.py`` are the per-step
+The flow is linear with a fixed matrix M, so :func:`backward_sweep` reads it
+from a factored table of direct exponentials expm(M t), the same scheme as
+:class:`~lintraj.trajectory.BlockTable`, and folds the record a block at a
+time.  Its test oracles in ``tests/conftest.py`` are the per-step
 ``inverse_backward_sweep`` and the 40-digit arbiter ``mp_backward_sweep``.
 
 Forward: :func:`forward_covariance_flow` is the one record-independent
@@ -35,13 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import expm
+from ._linalg import expm_table
 from .errors import CrossCheckFailure, FilterDivergence, RiccatiBlowup
 from .system import SystemSpec
 from .trajectory import MeasurementRecord, checked_currents
-
-# steps per segment of backward_sweep; its step powers take 66 kB at N = 1
-_POWER_CHUNK = 512
 
 INFO_FLOOR = 1e-12
 # largest residual crosscheck_against_povm accepts between the two routes
@@ -150,18 +148,6 @@ def integrate_backward(mats: KalmanMatrices,
     return backward_sweep(mats, record, 1)[3]
 
 
-def step_powers(step: np.ndarray, count: int) -> np.ndarray:
-    """(count + 1, d, d) stack of the powers step^k, k = 0..count, each the
-    sequential product step^(k-1) @ step.  Every product is its own GEMM,
-    too small for OpenBLAS to thread; threaded GEMMs this small were seen
-    to stall for up to ~0.8 s in a fresh process on a 2-core host."""
-    powers = np.empty((count + 1,) + step.shape, dtype=step.dtype)
-    acc = powers[0] = np.eye(len(step), dtype=step.dtype)
-    for k in range(1, count + 1):
-        acc = powers[k] = acc @ step
-    return powers
-
-
 def backward_sweep(mats: KalmanMatrices, record: MeasurementRecord,
                    n_samples: int):
     """(taus, xs, Vs, moments): the exact backward sweep, sampled about
@@ -169,45 +155,38 @@ def backward_sweep(mats: KalmanMatrices, record: MeasurementRecord,
 
     tau is the earliest time the effect has been integrated back to; entry 0
     is tau = record.t_final (flat effect), the last entry tau = 0, where
-    ``moments`` is taken.  [X; Y] follows the linear Riccati flow; the
-    covariance part Lambda = Y X^{-1} is record-independent, and
-    z = X^{-T} w with w the Ito quadrature of the record slices the sweep has
-    passed.  Slice k adds g_k [X; Y]_k to w, with g_k = y^T [2 B^T; S^T]^T dt
-    (see the module docstring), so X is inverted only at the samples.
+    ``moments`` is taken.  k steps back, [X; Y] = P^k [1; 0] with
+    P^k = expm(M k dt); Lambda = Y X^{-1} is record-independent, and
+    z = X^{-T} w with w the Ito quadrature of the record slices passed so
+    far: slice k adds g_k P^k [1; 0], g_k = y^T [2 B^T; S^T]^T dt (see the
+    module docstring), so X is inverted only at the samples.
 
-    The sweep runs in segments of up to ``_POWER_CHUNK`` steps, each ending
-    at the next sample point at the latest, so the samples and taus are
-    those of a per-step sweep.  The powers P^0..P^C of the one-step flow P
-    are formed once per call (:func:`step_powers`).  A
-    segment of n steps from k0 adds sum_i g_{k0+i} P^i [X; Y]_{k0} to w as
-    one product of the flattened record slices with the stacked
-    P^i [X; Y]_{k0}, then sets [X; Y] <- P^n [X; Y].  This reorders the
-    per-step arithmetic; the tests hold the result to a 40-digit sweep from
-    the same float64 step and record (``mp_backward_sweep`` in
-    ``tests/conftest.py``).
+    With C = ceil(sqrt(steps)), P^(qC + i) = powers[i] @ bases[q], each
+    factor its own exponential (:func:`~lintraj._linalg.expm_table`).
+    Block q adds (sum_i g_(qC+i) P^i) bases[q] to w: one product of its
+    record rows with the stacked kernels g P^i, then one with its base; a
+    sample reads the partial fold of its block.  No array spans the record.
 
     Raises DimensionMismatch for a record whose column count is not the
     system's 2L, ValueError for complex or non-finite currents, and
     RiccatiBlowup when the flow leaves the floats.
     """
     y = checked_currents(record.y, mats.B.shape[0])
-    steps = record.steps
-    dt = record.dt
+    steps, dt = record.steps, record.dt
     n2 = 2 * mats.n_modes
-    # left-multiplied powers P^k = step @ P^(k-1), as transposed powers of
-    # step^T: up to the first segment end, where cond(Lambda) is largest,
-    # [X; Y] is then bitwise the per-step product step @ [X; Y]
-    step = expm(_riccati_flow_matrix(mats) * dt)
-    powers = step_powers(step.T, min(_POWER_CHUNK, steps)).transpose(0, 2, 1)
-    xy = np.vstack([np.eye(n2), np.zeros((n2, n2))])
-    w = np.zeros(n2)
-    # slice j enters once the sweep has passed backward time t_final - j dt;
-    # its kernel is the flow one step before that sample
-    gy = y[::-1] @ (np.vstack([2.0 * mats.B.T, mats.S.T]).T * dt)
+    powers, bases, _ = expm_table(_riccati_flow_matrix(mats), dt, steps)
+    chunk = len(powers) - 1
+    bases = bases[:, :, :n2]
+    # the record kernels [2 B^T; S^T]^T dt P^i of one block, stacked from
+    # i = C - 1 down to 0: the sweep runs back in time, the record forward
+    kernels = (np.vstack([2.0 * mats.B.T, mats.S.T]).T * dt
+               @ powers[chunk - 1::-1])
     sample_every = max(1, steps // max(1, n_samples - 1))
     taus, xs, Vs = [], [], []
 
-    def emit(k_back):
+    def emit(k_back, w):
+        q, i = divmod(k_back, chunk)
+        xy = powers[i] @ bases[q]
         X, Y = xy[:n2], xy[n2:]
         lam = Y @ np.linalg.inv(X)
         lam = (lam + lam.T) / 2
@@ -221,17 +200,24 @@ def backward_sweep(mats: KalmanMatrices, record: MeasurementRecord,
         return EffectMoments(n_modes=mats.n_modes, z=z, Lambda=lam, x=x, V=V,
                              informative=keep)
 
-    moments = emit(0)
-    k0 = 0
-    while k0 < steps:
-        k1 = min(k0 + _POWER_CHUNK, (k0 // sample_every + 1) * sample_every,
-                 steps)
-        n = k1 - k0
-        w += gy[k0:k1].reshape(-1) @ (powers[:n] @ xy).reshape(-1, n2)
-        xy = powers[n] @ xy
+    w = np.zeros(n2)            # record term of the finished blocks
+    fold = np.zeros(2 * n2)     # the current block's sum_i g P^i
+    moments = emit(0, w)
+    # segments end at every block end and every sample
+    bounds = sorted({*range(0, steps, sample_every), *range(0, steps, chunk),
+                     steps})
+    for k0, k1 in zip(bounds[:-1], bounds[1:]):
+        # record row steps - 1 - k takes the kernel of P^k, the flow just
+        # before the sweep passes it
+        q = k0 // chunk
+        end = (q + 1) * chunk
+        fold += (y[steps - k1:steps - k0].reshape(-1)
+                 @ kernels[end - k1:end - k0].reshape(-1, 2 * n2))
+        if k1 % chunk == 0:
+            w += fold @ bases[q]
+            fold[:] = 0.0
         if k1 % sample_every == 0 or k1 == steps:
-            moments = emit(k1)
-        k0 = k1
+            moments = emit(k1, w + fold @ bases[q])
     return np.array(taus), np.array(xs), np.array(Vs), moments
 
 

@@ -460,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--trajectories", type=int, default=1)
     p.add_argument("--compare-oracle", action="store_true")
-    p.set_defaults(fn=cmd_simulate, out_required=True)
+    p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("povm", help="effect operator of the compiled measurement")
     common(p, record=True, state=False)

@@ -7,7 +7,6 @@ blocks evaluated at ``t = j dt``.  All sums follow the Ito convention.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ from .errors import (
     MatrixExpFailure,
     ParameterOutOfRange,
 )
-from ._linalg import expm
+from ._linalg import expm_table
 from .lie_rep import PropagatorBlocks, RepMatrix
 from .parameterization import NoiseCouplings
 from .system import SystemSpec
@@ -38,8 +37,6 @@ _STREAM_CHUNK = 2 ** 16
 _CSV_BLOCK = 1024
 # relative bound on the conjugate-pairing residual of (l', r')
 PAIRING_TOL = 1e-10
-# matrices per stacked expm of a BlockTable: ~1 MB of temporaries at N = 1
-_EXPM_STACK = 128
 
 
 @dataclass(frozen=True)
@@ -218,17 +215,12 @@ class BlockTable:
         self.n_modes = rep.n_modes
         self.dt = dt
         self.steps = steps
-        chunk = math.isqrt(steps - 1) + 1
-        n_bases = -(-steps // chunk)
-        # one time vector: the powers' i dt, the bases' qC dt, then steps dt
-        j = np.r_[1:chunk + 1, chunk * np.arange(n_bases), steps]
-        inner = np.empty((len(j), rep.dim - 2, rep.dim - 2), dtype=complex)
-        for i0 in range(0, len(j), _EXPM_STACK):
-            full = expm(rep.matrix * (dt * j[i0:i0 + _EXPM_STACK, None, None]))
-            inner[i0:i0 + _EXPM_STACK] = full[:, 1:-1, 1:-1]
-        self.powers, self.bases = inner[:chunk], inner[chunk:-1]
-        self.final = full[-1].copy()
-        if not (np.isfinite(inner).all() and np.isfinite(self.final).all()):
+        powers, bases, self.final = expm_table(rep.matrix, dt, steps,
+                                               np.s_[1:-1, 1:-1])
+        # P^1..P^C, and the bases up to the one the last step reaches
+        self.powers = powers[1:]
+        self.bases = bases[:(steps - 1) // len(self.powers) + 1]
+        if not all(np.isfinite(a).all() for a in (powers, bases, self.final)):
             raise MatrixExpFailure("non-finite propagator powers")
 
     def final_blocks(self) -> PropagatorBlocks:

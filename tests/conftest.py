@@ -231,13 +231,16 @@ def euler_backward(mats, record):
 
 
 def inverse_backward_sweep(mats, record, n_samples):
-    """Test oracle for ``backward_sweep``: the same exact flow, with the
-    record kernel X^T (2 B^T + Lambda S^T) formed from Lambda = Y X^{-1} at
-    every step.  Returns (xs at the samples, final z)."""
+    """Test oracle for ``backward_sweep``: the same exact flow, with [X; Y]
+    after k steps back its own float64 exponential expm(M k dt) [1; 0] and
+    the record kernel X^T (2 B^T + Lambda S^T) formed from Lambda = Y X^{-1}
+    at every step.  Returns (xs at the samples, final z)."""
     steps, dt = record.steps, record.dt
     n2 = 2 * mats.n_modes
-    step = _linalg.expm(_riccati_flow_matrix(mats) * dt)
-    xy = np.vstack([np.eye(n2), np.zeros((n2, n2))])
+    m, k = _riccati_flow_matrix(mats), np.arange(steps + 1)
+    flows = np.concatenate([_linalg.expm(m * (dt * k[i:i + 128, None, None]))
+                            for i in range(0, steps + 1, 128)])[:, :, :n2]
+    xy = flows[0]
     w = np.zeros(n2)
     sample_every = max(1, steps // max(1, n_samples - 1))
     xs = []
@@ -255,7 +258,7 @@ def inverse_backward_sweep(mats, record, n_samples):
         lam_s = Y @ np.linalg.inv(X)
         w = w + X.T @ ((2.0 * mats.B.T + lam_s @ mats.S.T)
                        @ record.y[steps - k_back]) * dt
-        xy = step @ xy
+        xy = flows[k_back]
         if k_back % sample_every == 0 or k_back == steps:
             z = emit()
     return np.array(xs), z
@@ -264,30 +267,35 @@ def inverse_backward_sweep(mats, record, n_samples):
 def mp_backward_sweep(mats, record, n_samples):
     """High-precision arbiter for ``backward_sweep``: the exact sweep in
     40-digit mpmath arithmetic from the library's float64 inputs, namely the
-    one-step flow P = expm(M dt), the record, B, S and dt, each read exactly.
-    Whatever order the library sums in, its x and z should sit within their
-    float64 conditioning of these values.  Over each sample interval
-    k0 < k <= k1 the record term is summed by Horner's rule,
-    w += dt (sum_i y_{k0+i} K P^i) [X; Y], skipping the exact zeros of P and
-    of the kernel K, and [X; Y] advances by P^(k1 - k0) only at the sample
-    points.  x is the pseudo-inverse of Lambda applied to z, masked as
-    ``_moments_from_information`` masks it.  Returns (xs at the samples,
-    final z), rounded to float64."""
+    Riccati flow matrix times the step, M dt, the record, B, S and dt, each
+    read exactly.  The one-step flow P is the 40-digit exponential of that
+    M dt, the true flow of these inputs, so no rounded float64 step is taken
+    as exact.  Whatever order and factoring the library computes in, its
+    x and z should sit within their float64 conditioning of these values.
+    Over each sample interval k0 < k <= k1 the record term is summed by
+    Horner's rule, w += dt (sum_i y_{k0+i} K P^i) [X; Y], skipping the
+    exact zeros of P and of the kernel K, and [X; Y] advances by
+    P^(k1 - k0) only at the sample points.  x is the pseudo-inverse of
+    Lambda applied to z, masked as ``_moments_from_information`` masks it.
+    Returns (xs at the samples, final z), rounded to float64."""
     steps, dt = record.steps, record.dt
     n2 = 2 * mats.n_modes
-    step = _linalg.expm(_riccati_flow_matrix(mats) * dt)
     kernel = np.vstack([2.0 * mats.B.T, mats.S.T]).T     # exact in float64
     sample_every = max(1, steps // max(1, n_samples - 1))
     with mp.workdps(40):
         def exact(a):
             return np.vectorize(mp.mpf, otypes=[object])(a)
 
+        step = mp.expm(mp.matrix(exact(_riccati_flow_matrix(mats) * dt)
+                                 .tolist()))
         live = np.any(record.y != 0, axis=0)     # all-zero columns add 0
         y_back = exact(record.y[::-1, live]).tolist()
         # column c of v P + y K, from the nonzero entries of column c of
         # [P; K] and the concatenated row [v | y]
-        stacked = np.vstack([step, kernel[live]])
-        cols = [[(r, mp.mpf(stacked[r, c])) for r in np.flatnonzero(stacked[:, c])]
+        stacked = np.vstack([np.array(step.tolist(), dtype=object),
+                             exact(kernel[live])])
+        cols = [[(r, stacked[r, c]) for r in range(len(stacked))
+                 if stacked[r, c] != 0]
                 for c in range(2 * n2)]
         powers = {}
         xy = exact(np.vstack([np.eye(n2), np.zeros((n2, n2))]))
@@ -322,9 +330,8 @@ def mp_backward_sweep(mats, record, n_samples):
                      for col in cols]
             w = w + np.array(v, dtype=object) @ xy * mp.mpf(dt)
             if k1 - k0 not in powers:
-                powers[k1 - k0] = np.array(
-                    (mp.matrix(exact(step).tolist()) ** (k1 - k0)).tolist(),
-                    dtype=object)
+                powers[k1 - k0] = np.array((step ** (k1 - k0)).tolist(),
+                                           dtype=object)
             xy = powers[k1 - k0] @ xy
             z = emit()
     return np.array(xs), z

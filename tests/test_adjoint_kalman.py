@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import (
@@ -10,7 +12,6 @@ from conftest import (
 from scipy.linalg import expm
 
 from lintraj.adjoint_kalman import (
-    _POWER_CHUNK,
     _riccati_flow_matrix,
     backward_sweep,
     crosscheck_against_povm,
@@ -318,13 +319,11 @@ def test_backward_sweep_matches_inverse_oracle(rng):
                                              oracle=name != "random N=2")
 
 
-@pytest.mark.parametrize("steps_from_chunk",
-                         [(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2, 3)],
-                         ids=["1", "2", "C-1", "C", "C+1", "2C+3"])
-def test_sweep_segment_edges_match_inverse_oracle(steps_from_chunk):
-    # steps = a _POWER_CHUNK + b: segments end at the chunk and at the samples
-    a, b = steps_from_chunk
-    steps = a * _POWER_CHUNK + b
+@pytest.mark.parametrize("steps", [1, 2, 15, 16, 17, 224, 225, 226])
+def test_sweep_segment_edges_match_inverse_oracle(steps):
+    # steps = C^2 - 1, C^2, C^2 + 1 for C = 4 and 15: the table's last block
+    # of ceil(sqrt(steps)) steps is one short, full, or two steps long, and
+    # the samples fall inside blocks and on block ends
     spec = builtin_homodyne_thermal(1.0, 0.3, 0.7)
     mats = kalman_matrices(spec)
     rec = sample_ostensible_record(spec, 1e-3, steps * 1e-3, seed=5)
@@ -337,6 +336,26 @@ def test_sweep_segment_edges_match_inverse_oracle(steps_from_chunk):
         assert np.array_equal(taus, rec.t_final - np.array(k_back) * rec.dt)
         xs_ref, z_ref = inverse_backward_sweep(mats, rec, n_samples)
         _assert_within(xs, moments.z, xs_ref, z_ref)
+
+
+def test_backward_sweep_of_a_long_record_holds_no_per_step_array():
+    # 1e6 steps: 1001 powers and 1001 bases of the 4 x 4 flow, ~0.3 MB,
+    # and the record is folded a block at a time, so no array spans it
+    spec = builtin_homodyne_thermal(1.0, 0.2, 0.8)
+    rec = sample_ostensible_record(spec, 1e-5, 10.0, seed=0)
+    tracemalloc.start()
+    try:
+        moments = backward_sweep(kalman_matrices(spec), rec, 50)[3]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+    table = BlockTable(rep_of_generator(compute_generator(spec)), 1e-5,
+                       rec.steps)
+    ints = accumulate_integrals(table, compute_noise_couplings(spec), rec)
+    lpp = povm_blocks(table.final_blocks())
+    crosscheck_against_povm(effect_from_blocks(lpp, stochastic_d(ints, lpp)),
+                            moments)
 
 
 def test_backward_sweep_rejects_wrong_column_count():

@@ -687,6 +687,19 @@ def test_flags_a_command_does_not_read_are_rejected(homodyne_config, tmp_path):
     assert not (tmp_path / "povm.json").exists()
 
 
+@pytest.mark.parametrize("argv", [["--dt", "abc", "--out", "sim"], []],
+                         ids=["non-numeric dt", "simulate without out"])
+def test_usage_errors_are_argparse_lines_on_stderr(homodyne_config, argv,
+                                                   capsys):
+    # as the README states: usage on stderr, exit code 2, no JSON line
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", homodyne_config, *argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: lintraj")
+
+
 def test_adjoint_command_sweeps_once(homodyne_config, tmp_path, monkeypatch):
     from lintraj import adjoint_kalman
 

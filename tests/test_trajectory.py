@@ -593,7 +593,7 @@ def test_block_table_rejects_bad_grid_before_any_power(homodyne_pipeline,
                                                        case):
     _, rep, _ = homodyne_pipeline
     grid = {"dt": 1e-3, "steps": 10, **_BAD_TABLE_GRIDS[case]}
-    with mock.patch("lintraj.trajectory.expm",
+    with mock.patch("lintraj._linalg.expm",
                     side_effect=AssertionError("a power was formed")):
         with pytest.raises(ParameterOutOfRange):
             BlockTable(rep, **grid)
