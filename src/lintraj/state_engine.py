@@ -383,6 +383,8 @@ def single_mode_exponentials(factors: EvolutionFactors, dim: int) -> list:
     """
     if factors.n_modes != 1:
         raise DimensionMismatch("structured exponentials are single-mode only")
+    # the sandwich series need (dim - 1)! as a float: fail before any expm
+    _check_factorial_levels(dim)
     a, ad, _ = fock_operators(dim)
     exps = expm(np.concatenate([
         [factors.L_prime[0, 0] * (a @ a), factors.R_prime[0, 0] * (ad @ ad)],

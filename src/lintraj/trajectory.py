@@ -27,10 +27,11 @@ from .system import SystemSpec
 # steps per block of the causal scan in accumulate_integrals_ensemble
 _SCAN_BLOCK = 8
 # (record, step) pairs per group of scan blocks in accumulate_integrals_ensemble.
-# A group holds the gathered (S, steps, k) record slab, each block's summed
-# [dl' | dr'] per record, the record times each block's masked (8k, 8k) matrix
-# M_c, and the M_c themselves, which are budgeted as 16k records each: a few
-# MB of temporaries, large enough that each group is a handful of GEMM stacks
+# A group holds the gathered (S, steps, k) record slab, its steps' kernels
+# [KL | KR], each block's summed [dl' | dr'] per record, the record times each
+# block's masked (8k, 8k) matrix M_c, and the M_c themselves, which are
+# budgeted as 16k records each: a few MB of temporaries, large enough that
+# each group is a handful of GEMM stacks
 _STREAM_CHUNK = 2 ** 16
 # rows per formatted block of record_to_csv: ~0.3 MB of transient Python
 # floats and text at 2L = 4, far below the peak memory of any command
@@ -124,8 +125,9 @@ def sample_conditioned_record_gaussian(spec: SystemSpec, mean: np.ndarray,
     dw = sqrt(dt) xi, xi ~ Normal(0, 1) on the k monitored components, over
     the record-independent covariance flow
     :func:`~lintraj.adjoint_kalman.forward_covariance_flow`.  With ``n_traj``
-    set, returns a (n_traj, steps, 2L) view of time-major records sharing
-    that flow; otherwise a single MeasurementRecord.
+    set, returns the (n_traj, steps, 2L) records sharing that flow;
+    otherwise a single MeasurementRecord.  Either is a view of one zeroed
+    (steps, records) plane per current column.
 
     The gains are record-independent, so each step advances every record's
     z = [xbar | xi] with one product, xbar <- z [[1 + A^T dt]; sqrt(dt) G^T],
@@ -133,8 +135,10 @@ def sample_conditioned_record_gaussian(spec: SystemSpec, mean: np.ndarray,
     time: one ``standard_normal`` of (steps, records, k) is the same numbers,
     in the same order, as one draw of (records, k) per step.  A chunk's
     currents are one product z [[2 B^T]; 1 / sqrt(dt)] written to the
-    monitored columns only; the unmonitored ones stay zero.  A chunk spans
-    about ``_STREAM_CHUNK`` entries of z.
+    monitored planes only.  The unmonitored planes are never written, so
+    their pages are never touched: at 1000 optomech records of 2000 steps,
+    4 of the record's 6 planes (64 of 96 MB) never become resident.  A
+    chunk spans about ``_STREAM_CHUNK`` entries of z.
 
     DimensionMismatch for a mean that is not (2N,) or a cov that is not
     (2N, 2N).  ParameterOutOfRange for a complex or non-finite mean or cov,
@@ -168,9 +172,7 @@ def sample_conditioned_record_gaussian(spec: SystemSpec, mean: np.ndarray,
     step[:, :n2] = np.eye(n2) + dt * mats.A.T
     step[:, n2:] = np.sqrt(dt) * gains.transpose(0, 2, 1)
     emit = np.vstack([2.0 * mats.B[cols].T, np.eye(k) / np.sqrt(dt)])
-    # time-major, so each chunk fills one contiguous slab; the ensemble is
-    # returned as a (n_traj, steps, 2L) view of it
-    y_out = np.zeros((steps, m_traj, 2 * spec.n_channels))
+    planes = np.zeros((2 * spec.n_channels, steps, m_traj))
     chunk = min(steps, max(1, _STREAM_CHUNK // (m_traj * (n2 + k))))
     z = np.empty((chunk + 1, m_traj, n2 + k))
     z[0, :, :n2] = mean
@@ -179,11 +181,12 @@ def sample_conditioned_record_gaussian(spec: SystemSpec, mean: np.ndarray,
         z[:c, :, n2:] = rng.standard_normal(size=(c, m_traj, k))
         for i in range(c):
             np.matmul(z[i], step[j0 + i], out=z[i + 1, :, :n2])
-        y_out[j0:j0 + c, :, cols] = z[:c] @ emit
+        planes[cols, j0:j0 + c] = (z[:c] @ emit).transpose(2, 0, 1)
         z[0, :, :n2] = z[c, :, :n2]
+    y_out = planes.transpose(2, 1, 0)
     if n_traj is None:
-        return MeasurementRecord(dt=dt, y=y_out[:, 0])
-    return y_out.transpose(1, 0, 2)
+        return MeasurementRecord(dt=dt, y=y_out[0])
+    return y_out
 
 
 class BlockTable:
@@ -291,8 +294,9 @@ def accumulate_integrals_ensemble(table: BlockTable, couplings: NoiseCouplings,
     KR_j = dt (W_l N1m1_j + W_r J^T Nm1m1_j) J^T, over only the k current
     columns with a nonzero coupling row.  With W = [W_l | W_r J^T], the
     table's factors give [KL_j | KR_j J] = dt W P^i B^q: dt W P^i is folded
-    once per call, then one product with the bases B^q (right-half columns
-    reversed) forms every kernel.
+    once per call, and each group of the scan below forms its own kernels
+    with one product of the fold per base B^q that its steps reach
+    (right-half columns reversed).
 
     Blocked causal scan (prefix sums as block products, Blelloch 1990): cut
     the grid into blocks c of ``_SCAN_BLOCK`` steps and let y_c be a record's
@@ -306,8 +310,10 @@ def accumulate_integrals_ensemble(table: BlockTable, couplings: NoiseCouplings,
     w_ji KL_j KR_i^T (w = 1 for i < j, 1/2 for i = j, 0 for i > j), carries
     the pairs within the block.  M_c is record-independent; it is built per
     group of blocks of about ``_STREAM_CHUNK`` (record, step) pairs, and l',
-    r' (the running R') and h are carried across groups, so neither an
-    (n_traj, steps, 2N) array nor an all-grid M is ever formed.
+    r' (the running R') and h are carried across groups, so no
+    (n_traj, steps, 2N) array, per-step kernel array or all-grid M is ever
+    formed.  The record is read a group of steps at a time, in any memory
+    layout: the sampler's column planes or a C-order array.
     """
     y = checked_currents(y, couplings.W_l.shape[0])
     n_traj, steps = y.shape[:2]
@@ -322,14 +328,8 @@ def accumulate_integrals_ensemble(table: BlockTable, couplings: NoiseCouplings,
     # W = [W_l | W_r J^T]; J reverses the columns it multiplies
     fold = table.dt * (np.hstack([couplings.W_l[cols], couplings.W_r[cols, ::-1]])
                        @ table.powers)
+    fold = fold.reshape(chunk * k, 2 * m)
     flip_right = np.r_[:m, 2 * m - 1:m - 1:-1]
-    # [KL | KR], zero past the last step so the grid is whole blocks
-    kernels = np.zeros((max(n_bases * chunk, n_blocks * b), k, 2 * m),
-                       dtype=complex)
-    np.matmul(fold.reshape(chunk * k, 2 * m), table.bases[..., flip_right],
-              out=kernels[:n_bases * chunk].reshape(n_bases, chunk * k, 2 * m))
-    kernels[steps:] = 0.0
-    kernels = kernels[:n_blocks * b].reshape(n_blocks, b * k, 2 * m)
     step_of = np.repeat(np.arange(b), k)
     weights = (step_of[:, None] > step_of) + 0.5 * (step_of[:, None] == step_of)
 
@@ -338,11 +338,20 @@ def accumulate_integrals_ensemble(table: BlockTable, couplings: NoiseCouplings,
     per_group = max(1, _STREAM_CHUNK // (b * max(1, n_traj + 16 * k)))
     for c0 in range(0, n_blocks, per_group):
         g = min(per_group, n_blocks - c0)
+        j0, j1 = c0 * b, (c0 + g) * b
         # steps past the grid's end repeat the last sample against zero kernels
-        t_idx = np.minimum(np.arange(c0 * b, (c0 + g) * b), steps - 1)[:, None]
+        t_idx = np.minimum(np.arange(j0, j1), steps - 1)[:, None]
         part = y[:, t_idx, cols].reshape(n_traj, g, b * k)
         slab = part.transpose(1, 0, 2)
-        kern = kernels[c0:c0 + g]
+        # [KL | KR] of the group's steps: one product of the fold with each
+        # base the group reaches, zero past the last step
+        q0, q1 = j0 // chunk, min(-(-j1 // chunk), n_bases)
+        kern = np.zeros((max((q1 - q0) * chunk, j1 - q0 * chunk), k, 2 * m),
+                        dtype=complex)
+        np.matmul(fold, table.bases[q0:q1][..., flip_right],
+                  out=kern[:(q1 - q0) * chunk].reshape(q1 - q0, chunk * k, 2 * m))
+        kern[steps - q0 * chunk:] = 0.0
+        kern = kern[j0 - q0 * chunk:j1 - q0 * chunk].reshape(g, b * k, 2 * m)
         m_c = kern[..., :m] @ kern[..., m:].transpose(0, 2, 1) * weights
         # real slabs times the real view of the complex kernels: each product
         # row reads back as the complex block sums [dl'_c | dr'_c]
@@ -382,17 +391,20 @@ def stochastic_d(integrals: TrajectoryIntegrals, lpp_full: np.ndarray) -> np.nda
 def record_to_csv(record: MeasurementRecord, path: str, header_comment: str = "") -> None:
     """Write ``t, y_1 .. y_2L`` rows with 17 significant digits, so that
     :func:`record_from_csv` reads the currents back bitwise."""
-    n_cols = record.y.shape[1]
-    rows = np.column_stack([record.times, record.y])
-    row_fmt = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
+    dt, y = record.dt, record.y
+    n_cols = y.shape[1]
+    row_fmt = ",".join(["%.17g"] * (n_cols + 1)) + "\r\n"
     with open(path, "w", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         fh.write(",".join(["t"] + [f"y_{k + 1}" for k in range(n_cols)]) + "\r\n")
         # one % format per block of rows: the bytes np.savetxt(fmt="%.17g",
-        # delimiter=",", newline="\r\n") writes, without its per-row loop
-        for i in range(0, len(rows), _CSV_BLOCK):
-            block = rows[i:i + _CSV_BLOCK]
+        # delimiter=",", newline="\r\n") writes, without its per-row loop.
+        # Each block's times are those of record.times; no array spans the
+        # record
+        for i in range(0, len(y), _CSV_BLOCK):
+            rows = y[i:i + _CSV_BLOCK]
+            block = np.column_stack([dt * np.arange(i, i + len(rows)), rows])
             fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 

@@ -519,6 +519,25 @@ def test_fock_dim_past_171_levels_is_out_of_range(homodyne_config, tmp_path):
     assert not out.exists()
 
 
+def test_fock_dim_past_171_levels_fails_before_any_exponential(
+        homodyne_config, tmp_path, monkeypatch, capsys):
+    # the level check comes before the ladder and number-sector exponentials
+    # of 172 levels, which took seconds before the same error
+    from lintraj import state_engine
+
+    def no_expm(*args, **kwargs):
+        raise AssertionError("expm reached before the level check")
+
+    monkeypatch.setattr(state_engine, "expm", no_expm)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", homodyne_config, "--fock-dim", "172",
+                 "--initial", "vacuum", "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "ParameterOutOfRange"
+    assert "171 levels" in payload["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 def test_closed_stdout_exits_without_a_traceback(homodyne_config, monkeypatch,
                                                  unbuffered):

@@ -1,7 +1,11 @@
 import contextlib
 import csv
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -285,13 +289,16 @@ def test_non_finite_current_anywhere_is_rejected(homodyne_pipeline, bad, where):
     n_traj, steps = 40, 5000         # four finiteness chunks of 1638 steps
     uncoupled = np.flatnonzero(~np.any(nc.W_l != 0, axis=1)
                                & ~np.any(nc.W_r != 0, axis=1))
-    y = np.zeros((n_traj, steps, 4))
-    if where == "last chunk":
-        y[-1, -1, 0] = bad
-    else:
-        y[7, 100, uncoupled[0]] = bad
-    with pytest.raises(ValueError, match="non-finite entries"):
-        accumulate_integrals_ensemble(BlockTable(rep, 1e-3, steps), nc, y)
+    table = BlockTable(rep, 1e-3, steps)
+    # C order, and the sampler's column planes
+    for y in (np.zeros((n_traj, steps, 4)),
+              np.zeros((4, steps, n_traj)).transpose(2, 1, 0)):
+        if where == "last chunk":
+            y[-1, -1, 0] = bad
+        else:
+            y[7, 100, uncoupled[0]] = bad
+        with pytest.raises(ValueError, match="non-finite entries"):
+            accumulate_integrals_ensemble(table, nc, y)
 
 
 def test_accumulation_memory_stays_within_chunk_budget(homodyne_pipeline):
@@ -299,24 +306,28 @@ def test_accumulation_memory_stays_within_chunk_budget(homodyne_pipeline):
     optomech = _optomech()
     opto = (rep_of_generator(compute_generator(optomech)),
             compute_noise_couplings(optomech), 6)
+    long_homodyne = builtin_homodyne_thermal(1.0, 0.2, 0.8)
+    long_hom = (rep_of_generator(compute_generator(long_homodyne)),
+                compute_noise_couplings(long_homodyne), 4)
     # an ensemble, and single 5e4-step records, where a group of scan blocks
     # spans thousands of steps; on optomech (k = 2 coupled columns) block
     # matrices M_c built for the whole grid at once would exceed the bound.
     # The homodyne record (t = 50) loses the conjugate pairing of (l', r'),
-    # so its call ends in CrossCheckFailure after the whole scan
-    for (rep_, nc_, n_cols), n_traj, steps, unpaired in (
-            ((rep, nc, 4), 200, 4000, False),
-            ((rep, nc, 4), 1, 50_000, True),
-            (opto, 1, 50_000, False)):
-        table = BlockTable(rep_, 1e-3, steps)
+    # so its call ends in CrossCheckFailure after the whole scan.  On the
+    # 1e6-step record (t = 10) a whole-grid kernel array would be 61 MiB
+    for (rep_, nc_, n_cols), dt, n_traj, steps, unpaired in (
+            ((rep, nc, 4), 1e-3, 200, 4000, False),
+            ((rep, nc, 4), 1e-3, 1, 50_000, True),
+            (opto, 1e-3, 1, 50_000, False),
+            (long_hom, 1e-5, 1, 1_000_000, False)):
+        table = BlockTable(rep_, dt, steps)
         y = np.random.default_rng(5).normal(size=(n_traj, steps, n_cols))
         k = int((np.any(nc_.W_l != 0, axis=1) | np.any(nc_.W_r != 0, axis=1)).sum())
         # each (record, step) pair of a group holds well under 256 bytes of
-        # temporaries at N = 1: the coupled record columns, the complex block
-        # sums [dl' | dr'], the record times the block matrices M_c, and the
-        # M_c; beside them, the per-step kernels [KL | KR] of the k coupled
-        # columns, 4N complex entries each
-        budget_bytes = trajectory._STREAM_CHUNK * 256 + steps * k * 4 * 16
+        # temporaries at N = 1: the coupled record columns, the per-step
+        # kernels [KL | KR] of the group, the complex block sums [dl' | dr'],
+        # the record times the block matrices M_c, and the M_c
+        budget_bytes = trajectory._STREAM_CHUNK * 256
         tracemalloc.start()
         try:
             with (pytest.raises(CrossCheckFailure) if unpaired
@@ -417,11 +428,60 @@ def test_conditioned_records_match_per_step_loop(monkeypatch, system, n_traj,
     got = sample_conditioned_record_gaussian(*args, rng=rng, n_traj=n_traj)
     if n_traj is None:
         got = got.y[None]
+    # one (steps, records) plane per current column: records are the fastest
+    # axis, then steps, then columns
+    assert got.strides[1:] == (8 * (n_traj or 1), 8 * (n_traj or 1) * 500)
     want = loop_conditioned_records(*args, rng=oracle_rng, n_traj=n_traj)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     # exactly steps * records * monitored numbers were drawn, in order
     assert rng.standard_normal() == oracle_rng.standard_normal()
+
+
+_SAMPLER_RSS = """
+import resource, sys
+import numpy as np
+from lintraj import builtin_optomech_squeezing, sample_conditioned_record_gaussian
+spec = builtin_optomech_squeezing(1.0, 1.0, 0.4, 0.2, 0.3)
+args = (spec, np.array([0.99, -0.57]), 0.5 * np.eye(2), 1e-3)
+sample_conditioned_record_gaussian(*args, 0.01, n_traj=1000)     # warm up
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+y = sample_conditioned_record_gaussian(*args, 2.0, n_traj=1000)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print((after - before) * 1024, int(spec.monitored.sum()) * y[..., 0].nbytes)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is KiB on Linux")
+def test_conditioned_sampler_leaves_unmonitored_planes_untouched():
+    # the record-summary ensemble, 1000 records of 2000 steps: only the two
+    # monitored planes (32 MB of the 96 MB record) are written, so the peak
+    # resident set of a fresh process grows by little more than those.  The
+    # zero planes are never read here, so the host's zero-page handling
+    # does not enter the bound
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", _SAMPLER_RSS],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rise, monitored_bytes = map(int, proc.stdout.split())
+    assert monitored_bytes == 32_000_000
+    assert rise <= monitored_bytes + 16 * 2 ** 20, rise
+
+
+def test_accumulation_is_bitwise_the_same_in_every_layout():
+    # the sampler's column planes, the former time-major view and a C-order
+    # copy of the same records give the same bits
+    spec, mean0 = _CONDITIONED_SYSTEMS["optomech"]()
+    planes = sample_conditioned_record_gaussian(spec, mean0, 0.5 * np.eye(2),
+                                                1e-3, 0.6, seed=9, n_traj=40)
+    time_major = np.ascontiguousarray(planes.transpose(1, 0, 2)).transpose(1, 0, 2)
+    table = BlockTable(rep_of_generator(compute_generator(spec)), 1e-3, 600)
+    nc = compute_noise_couplings(spec)
+    want = accumulate_integrals_ensemble(table, nc, np.ascontiguousarray(planes))
+    for y in (planes, time_major):
+        for got, ref in zip(accumulate_integrals_ensemble(table, nc, y), want):
+            assert np.array_equal(got, ref)
 
 
 def test_conditioned_sampler_memory_stays_within_output():
@@ -547,6 +607,19 @@ def test_record_csv_bytes_match_csv_writer(tmp_path, steps, comment):
     assert back.y.shape == y.shape
     assert np.array_equal(back.y, y)
     assert np.array_equal(np.signbit(back.y), np.signbit(y))
+
+
+def test_record_csv_holds_no_whole_record_copy(tmp_path):
+    # each block of rows is formed from the record's own rows and times
+    rec = MeasurementRecord(dt=1e-4, y=np.random.default_rng(4).normal(
+        size=(50_000, 4)))
+    tracemalloc.start()
+    try:
+        record_to_csv(rec, str(tmp_path / "rec.csv"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rec.y.nbytes / 2
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
