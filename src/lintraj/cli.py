@@ -53,7 +53,9 @@ from .state_engine import (
 from .system import spec_from_config
 from .trajectory import (
     BlockTable,
+    TrajectoryIntegrals,
     accumulate_integrals,
+    accumulate_integrals_ensemble,
     integrals_to_json,
     record_from_csv,
     record_to_csv,
@@ -112,11 +114,40 @@ def _manifest(args, cfg: dict) -> tuple[dict, str]:
     return manifest, hashlib.sha256(blob).hexdigest()[:16]
 
 
+# scalars that json's C encoder writes as they stand in an indented document
+_JSON_LEAVES = frozenset({float, int, str, bool, type(None)})
+
+
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=1, sort_keys=True)``, nested at ``indent``.
+    Dicts and lists that hold containers are walked here; each list of
+    scalars is one call of json's C encoder, whose item separator carries
+    the newline and indent (an indented dump runs json's Python encoder on
+    every float)."""
+    inner = indent + " "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ",\n".join(
+            f"{inner}{json.dumps(key)}: {_json_text(value[key], inner)}"
+            for key in sorted(value))
+        return "{\n" + items + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if _JSON_LEAVES.issuperset(map(type, value)):
+            sep = (",\n" + inner, ": ")
+            items = inner + json.dumps(value, separators=sep)[1:-1]
+        else:
+            items = ",\n".join(inner + _json_text(v, inner) for v in value)
+        return "[\n" + items + "\n" + indent + "]"
+    return json.dumps(value)
+
+
 def _write_json(path: str, payload: dict, stamp: str) -> None:
-    payload = {"_manifest": stamp, **payload}
+    text = _json_text({"_manifest": stamp, **payload})
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _parse_values(descriptor: str, arg: str, parse):
@@ -209,12 +240,16 @@ def cmd_simulate(args) -> int:
     a_op, _, n_op = fock_operators(args.fock_dim)
 
     seeds = np.random.SeedSequence(args.seed).spawn(args.trajectories)
-    records, integrals = [], []
-    for seed in seeds:
-        record = sample_ostensible_record(spec, args.dt, args.t_final, seed=None,
-                                          rng=np.random.default_rng(seed))
-        records.append(record)
-        integrals.append(accumulate_integrals(table, couplings, record))
+    records = [sample_ostensible_record(spec, args.dt, args.t_final, seed=None,
+                                        rng=np.random.default_rng(seed))
+               for seed in seeds]
+    # one summary call: the kernels and the scan's M_c serve every record
+    l_p, r_p, h = accumulate_integrals_ensemble(
+        table, couplings, np.stack([record.y for record in records]))
+    integrals = [TrajectoryIntegrals(n_modes=table.n_modes, t=record.t_final,
+                                     l_prime=l_p[i], r_prime=r_p[i],
+                                     h=complex(h[i]))
+                 for i, record in enumerate(records)]
     states = engine.evolve_records(rho0, integrals)
 
     per_traj, rows, normalized_states = [], [], []
@@ -231,8 +266,9 @@ def cmd_simulate(args) -> int:
             "purity": normalized.purity(),
         }
         if spec.n_modes == 1:
-            row["a_re"] = float(np.real(expectation(normalized, a_op)))
-            row["a_im"] = float(np.imag(expectation(normalized, a_op)))
+            a = expectation(normalized, a_op)
+            row["a_re"] = float(np.real(a))
+            row["a_im"] = float(np.imag(a))
             row["n"] = float(np.real(expectation(normalized, n_op)))
         if args.compare_oracle:
             oracle = integrate_linear_sme(spec, rho0, record)

@@ -393,7 +393,11 @@ def record_to_csv(record: MeasurementRecord, path: str, header_comment: str = ""
     :func:`record_from_csv` reads the currents back bitwise."""
     dt, y = record.dt, record.y
     n_cols = y.shape[1]
-    row_fmt = ",".join(["%.17g"] * (n_cols + 1)) + "\r\n"
+    # a column of +0.0 only (an unmonitored current) is the literal "0" that
+    # %.17g writes for each of its cells; -0.0 is written "-0"
+    zero = ~(y.any(axis=0) | np.signbit(y).any(axis=0))
+    live = np.flatnonzero(~zero)
+    row_fmt = ",".join(["%.17g"] + ["0" if z else "%.17g" for z in zero]) + "\r\n"
     with open(path, "w", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
@@ -403,7 +407,7 @@ def record_to_csv(record: MeasurementRecord, path: str, header_comment: str = ""
         # Each block's times are those of record.times; no array spans the
         # record
         for i in range(0, len(y), _CSV_BLOCK):
-            rows = y[i:i + _CSV_BLOCK]
+            rows = y[i:i + _CSV_BLOCK, live]
             block = np.column_stack([dt * np.arange(i, i + len(rows)), rows])
             fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 

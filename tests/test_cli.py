@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lintraj.cli import main
 
@@ -71,6 +73,63 @@ def test_simulate_writes_outputs_and_is_deterministic(homodyne_config, tmp_path)
     moments = Path(out1, "moments.csv").read_text().splitlines()
     assert moments[0].startswith("# manifest")
     assert len(moments) == 4   # header comment + column row + 2 trajectories
+
+
+_JSON_SCALARS = (st.floats() | st.just(-0.0) | st.just(5e-324)
+                 | st.floats(max_value=2.2e-308, min_value=-2.2e-308)
+                 | st.integers() | st.booleans() | st.none() | st.text()
+                 | st.sampled_from(['"\\/\b\f\n\r\t\x00\x1f', "\u00e9\u2603",
+                                    "\U0001d11e", "\ud800"]))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=6)
+                   | st.dictionaries(st.text(), inner, max_size=6)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON_VALUES | st.dictionaries(st.text(), _JSON_VALUES)
+       | st.lists(st.floats(), max_size=20))
+def test_json_text_is_an_indented_sorted_dump(value):
+    from lintraj.cli import _json_text
+
+    assert _json_text(value) == json.dumps(value, indent=1, sort_keys=True)
+
+
+def test_written_json_is_an_indented_sorted_dump(homodyne_config,
+                                                 optomech_config, tmp_path,
+                                                 monkeypatch):
+    # every payload kind the CLI writes, byte for byte as json.dump(indent=1,
+    # sort_keys=True) writes it: states, integrals and the manifest (with a
+    # nested config), povm with a posterior and its "inf" entries, the
+    # crosscheck report and the compare payload
+    from lintraj import cli
+
+    written = []
+    write = cli._write_json
+
+    def recording(path, payload, stamp):
+        write(path, payload, stamp)
+        written.append((path, {"_manifest": stamp, **payload}))
+
+    monkeypatch.setattr(cli, "_write_json", recording)
+    for argv, out in (
+            (["simulate", "--config", homodyne_config, "--fock-dim", "8",
+              "--trajectories", "2", "--compare-oracle"], "sim"),
+            (["povm", "--config", homodyne_config, "--retrodict"], "povm.json"),
+            (["povm", "--config", optomech_config, "--retrodict", "0.1:2"],
+             "optomech-povm.json"),
+            (["adjoint", "--config", homodyne_config], "adj"),
+            (["compare", "--config", homodyne_config, "--fock-dim", "8"],
+             "compare.json")):
+        assert main(argv + ["--t-final", "0.2",
+                            "--out", str(tmp_path / out)]) == 0
+    assert sorted(os.path.basename(path) for path, _ in written) == [
+        "compare.json", "crosscheck.json", "integrals.json", "manifest.json",
+        "optomech-povm.json", "povm.json", "traj_0000.json", "traj_0001.json"]
+    for path, payload in written:
+        want = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        assert Path(path).read_text() == want, path
 
 
 def test_simulate_compare_oracle_flag(homodyne_config, tmp_path, capsys):
@@ -759,9 +818,46 @@ def test_simulate_batch_couples_no_records(homodyne_config, tmp_path):
     alone, batched = _moments_rows(one)[0], _moments_rows(six)[0]
     assert alone.keys() == batched.keys()
     for col, value in alone.items():
-        assert abs(batched[col] - value) <= 1e-14 * abs(value), col
+        # the six records share one summary call, whose scan groups differ
+        # from a one-record call's; h enters only through the weight
+        # trace * exp(h_re), so its bound is the weight's 1e-14, absolute
+        bound = 1e-14 if col == "h_re" else 1e-14 * abs(value)
+        assert abs(batched[col] - value) <= bound, col
     want = _state_of(one, 0)
     assert np.abs(_state_of(six, 0) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_simulate_summaries_are_one_ensemble_call(homodyne_config, tmp_path):
+    # integrals.json holds, bitwise, one accumulate_integrals_ensemble call
+    # on the run's six records, each drawn from its spawned seed
+    import numpy as np
+
+    from lintraj import (
+        BlockTable,
+        accumulate_integrals_ensemble,
+        compute_generator,
+        compute_noise_couplings,
+        rep_of_generator,
+        sample_ostensible_record,
+        spec_from_config,
+    )
+
+    out = tmp_path / "six"
+    assert main(["simulate", "--config", homodyne_config, "--seed", "11",
+                 "--dt", "1e-3", "--t-final", "0.3", "--fock-dim", "8",
+                 "--trajectories", "6", "--out", str(out)]) == 0
+    spec = spec_from_config(json.loads(Path(homodyne_config).read_text()))
+    y = np.stack([sample_ostensible_record(spec, 1e-3, 0.3, seed=None,
+                                           rng=np.random.default_rng(seed)).y
+                  for seed in np.random.SeedSequence(11).spawn(6)])
+    table = BlockTable(rep_of_generator(compute_generator(spec)), 1e-3, 300)
+    l_p, r_p, h = accumulate_integrals_ensemble(
+        table, compute_noise_couplings(spec), y)
+    entries = json.loads((out / "integrals.json").read_text())["trajectories"]
+    for key, want in (("l_prime", l_p), ("r_prime", r_p), ("h", h)):
+        for part, values in (("re", want.real), ("im", want.imag)):
+            got = np.array([entry[f"{key}_{part}"] for entry in entries])
+            assert got.tobytes() == values.tobytes(), (key, part)
 
 
 def test_simulate_names_the_overflowing_record(homodyne_config, tmp_path,
@@ -770,19 +866,19 @@ def test_simulate_names_the_overflowing_record(homodyne_config, tmp_path,
     # and no RuntimeWarning escapes (pytest turns warnings into errors)
     from conftest import overflowing_integrals
 
-    from lintraj import cli
+    from lintraj import TrajectoryIntegrals, cli
 
-    calls = []
-    accumulate = cli.accumulate_integrals
+    accumulate = cli.accumulate_integrals_ensemble
 
-    def third_overflows(table, couplings, record):
-        ints = accumulate(table, couplings, record)
-        calls.append(1)
-        if len(calls) == 3:
-            return overflowing_integrals(table.final_blocks(), ints)
-        return ints
+    def third_overflows(table, couplings, y):
+        l_p, r_p, h = accumulate(table, couplings, y)
+        third = TrajectoryIntegrals(n_modes=table.n_modes, t=0.0,
+                                    l_prime=l_p[2], r_prime=r_p[2], h=h[2])
+        r_p = r_p.copy()
+        r_p[2] = overflowing_integrals(table.final_blocks(), third).r_prime
+        return l_p, r_p, h
 
-    monkeypatch.setattr(cli, "accumulate_integrals", third_overflows)
+    monkeypatch.setattr(cli, "accumulate_integrals_ensemble", third_overflows)
     assert main(["simulate", "--config", homodyne_config, "--seed", "4",
                  "--t-final", "0.2", "--fock-dim", "10", "--trajectories", "5",
                  "--out", str(tmp_path / "run")]) == 2

@@ -360,6 +360,39 @@ def test_ensemble_equals_single_records(n_traj, steps, chunk, seed):
     assert _relative_gap(ens, want) <= 1e-12
 
 
+@pytest.mark.parametrize("chunk", [None, 2 ** 10])
+@pytest.mark.parametrize("layout", ["C order", "column planes"])
+def test_ensemble_record_ignores_the_other_records(monkeypatch, layout, chunk):
+    # at a fixed record count, record i's (l', r', h) are bitwise the same
+    # whatever the other records hold: no sum mixes records.  700 steps
+    # reach several bases; the small budget also cuts them into scan groups
+    if chunk is not None:
+        monkeypatch.setattr(trajectory, "_STREAM_CHUNK", chunk)
+    spec = _optomech()
+    nc = compute_noise_couplings(spec)
+    steps, n_traj = 700, 5
+    table = BlockTable(rep_of_generator(compute_generator(spec)), 1e-3, steps)
+    rng = np.random.default_rng(12)
+
+    def ensemble(rows):
+        if layout == "C order":
+            return rows
+        planes = np.zeros((6, steps, n_traj))
+        planes[...] = rows.transpose(2, 1, 0)
+        return planes.transpose(2, 1, 0)
+
+    y = rng.normal(size=(n_traj, steps, 6)) / np.sqrt(1e-3)
+    base = accumulate_integrals_ensemble(table, nc, ensemble(y))
+    for i in range(n_traj):
+        other = rng.normal(size=y.shape) / np.sqrt(1e-3)
+        other[i] = y[i]
+        if i % 2:
+            other[np.arange(n_traj) != i] = 0.0
+        got = accumulate_integrals_ensemble(table, nc, ensemble(other))
+        for g, b in zip(got, base):
+            assert g[i].tobytes() == b[i].tobytes(), i
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 2), ell=st.integers(1, 2), steps=st.integers(1, 80),
        dt=st.sampled_from([1e-3, 1e-2]), seed=st.integers(0, 2 ** 32 - 1))
@@ -622,6 +655,15 @@ def test_record_csv_holds_no_whole_record_copy(tmp_path):
     assert peak < rec.y.nbytes / 2
 
 
+def _savetxt_bytes(record, header_comment):
+    """The record CSV as np.savetxt writes it, after the header lines."""
+    fh = io.StringIO(newline="")
+    fh.write(f"# {header_comment}\nt,y_1,y_2,y_3,y_4\r\n")
+    np.savetxt(fh, np.column_stack([record.times, record.y]), fmt="%.17g",
+               delimiter=",", newline="\r\n")
+    return fh.getvalue().encode()
+
+
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_record_csv_bytes_match_savetxt_at_block_edges(tmp_path, offset):
     steps = trajectory._CSV_BLOCK + offset
@@ -630,11 +672,41 @@ def test_record_csv_bytes_match_savetxt_at_block_edges(tmp_path, offset):
     rec = MeasurementRecord(dt=1e-4, y=y)
     path = tmp_path / "rec.csv"
     record_to_csv(rec, str(path), header_comment="seed 3")
-    fh = io.StringIO(newline="")
-    fh.write("# seed 3\nt,y_1,y_2,y_3,y_4\r\n")
-    np.savetxt(fh, np.column_stack([rec.times, y]), fmt="%.17g",
-               delimiter=",", newline="\r\n")
-    assert path.read_bytes() == fh.getvalue().encode()
+    assert path.read_bytes() == _savetxt_bytes(rec, "seed 3")
+
+
+def _zero_columns(steps):
+    return np.zeros((steps, 4))
+
+
+def _one_negative_zero(steps):
+    # the -0.0 sits in the last block of rows: the column is not all +0.0
+    y = np.zeros((steps, 4))
+    y[-1, 2] = -0.0
+    return y
+
+
+def _mixed_columns(steps):
+    y = np.zeros((steps, 4))
+    y[:, 0] = np.random.default_rng(5).normal(size=steps) * 30.0
+    y[::3, 1] = np.resize([5e-324, -1e300, 0.1], len(y[::3]))
+    y[1::5, 3] = -0.0
+    return y
+
+
+@pytest.mark.parametrize("kind", [_zero_columns, _one_negative_zero,
+                                  _mixed_columns],
+                         ids=["all-zero", "one-negative-zero", "mixed"])
+def test_record_csv_zero_columns_match_savetxt(tmp_path, kind):
+    # an all +0.0 column is written as the literal 0 that %.17g gives it;
+    # a column with one -0.0 is formatted cell by cell
+    y = kind(trajectory._CSV_BLOCK + 3)
+    rec = MeasurementRecord(dt=1e-3, y=y)
+    path = tmp_path / "rec.csv"
+    record_to_csv(rec, str(path), header_comment="manifest 0123")
+    assert path.read_bytes() == _savetxt_bytes(rec, "manifest 0123")
+    back = record_from_csv(str(path))
+    assert back.y.tobytes() == y.tobytes()
 
 
 def test_block_table_keeps_grid_blocks_and_rejects_overflow(homodyne_pipeline):
