@@ -23,20 +23,27 @@ time.  Its test oracles in ``tests/conftest.py`` are the per-step
 
 Forward: :func:`forward_covariance_flow` is the one record-independent
 covariance and gain flow, with measurement gain ``2 V B^T - S^T`` (the sign of
-S flips under time reversal).  :func:`forward_filter` runs its mean loop over
+S flips under time reversal).  It is exact: V = X Y^{-1} with [X; Y] on the
+linear flow whose matrix is the backward one with its diagonal blocks
+negated, read from one stack of step powers expm(M i dt), i <= C, and
+re-anchored at [V; 1] every C = ceil(sqrt(steps)) steps, so it stays inside
+the floats on any grid.  :func:`forward_filter` runs its Ito mean loop over
 it; the conditioned record sampler folds each step's gain and drift into one
 matrix that advances every record's mean and noise draw with one product.
 The explicit-Euler information filter is the test oracle ``euler_backward``
-in ``tests/conftest.py``.
+in ``tests/conftest.py``; the forward flow's are
+``exact_forward_covariances`` (each step its own scipy exponential) and the
+30-digit ``mp_forward_covariance``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import expm_table
+from ._linalg import expm, expm_table
 from .errors import CrossCheckFailure, FilterDivergence, RiccatiBlowup
 from .system import SystemSpec
 from .trajectory import MeasurementRecord, checked_currents
@@ -227,31 +234,71 @@ def backward_moment_trajectory(mats: KalmanMatrices, record: MeasurementRecord,
     return backward_sweep(mats, record, n_samples)[:3]
 
 
+def _forward_flow_matrix(mats: KalmanMatrices) -> np.ndarray:
+    """Linearization of the forward covariance Riccati
+    dV/dt = A~ V + V A~^T + Cm - V 4 B^T B V: V(t) = X(t) Y(t)^{-1} where
+    d/dt [X; Y] = [[A~, Cm], [4 B^T B, -A~^T]] [X; Y], X(0) = V(0),
+    Y(0) = 1.  The backward flow's matrix with its diagonal blocks negated.
+    """
+    M = _riccati_flow_matrix(mats)
+    n2 = 2 * mats.n_modes
+    M[:n2, :n2] *= -1.0
+    M[n2:, n2:] *= -1.0
+    return M
+
+
 def forward_covariance_flow(mats: KalmanMatrices, cov: np.ndarray,
                             dt: float, steps: int):
-    """(gains, covs): the record-independent forward Riccati flow
-    (explicit Euler, symmetrized each step).
+    """(gains, covs): the record-independent forward Riccati flow, exact
+    (Davison & Maki, IEEE TAC 18 (1973) 71; Van Loan, IEEE TAC 23 (1978)
+    395).
 
     gains[j] = 2 V_j B^T - S^T has shape (steps, 2N, 2L); covs has shape
     (steps+1, 2N, 2N) with entry 0 the initial covariance, which is taken
-    to be symmetric: V A^T is formed as the transpose of A V.
+    to be symmetric.  With C = ceil(sqrt(steps)), the step powers
+    P^i = expm(M i dt), i = 1..C, of the linear flow
+    (:func:`_forward_flow_matrix`) are one stacked exponential, and the
+    flow is re-anchored at [V; 1] every C steps: block q reads
+    [X_i; Y_i] = P^i [V_qC; 1] with one batched product and
+    V_(qC+i) = X_i Y_i^{-1} with one batched solve, symmetrized.  No step
+    of the flow is longer than C dt, so [X; Y] stays far inside the floats
+    however long the grid, and no loop runs over steps.
+
+    FilterDivergence when a covariance after step 0 has an eigenvalue below
+    -1e-8; RiccatiBlowup when a covariance or gain leaves the floats,
+    whichever happens first.
     """
-    covs = np.empty((steps + 1,) + np.shape(cov))
-    gains = np.empty((steps,) + mats.S.T.shape)
-    V = covs[0] = np.asarray(cov, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):   # reported below
-        for j in range(steps):
-            gain = gains[j] = 2.0 * V @ mats.B.T - mats.S.T
-            av = mats.A @ V
-            V = V + dt * (av + av.T + mats.E - gain @ gain.T)
-            V = covs[j + 1] = (V + V.T) / 2
-    # whichever happened first: positivity lost, or the flow left the floats
-    finite = np.isfinite(covs).all(axis=(1, 2))
-    n_finite = len(covs) if finite.all() else int(np.argmin(finite))
-    wmin = np.linalg.eigvalsh(covs[1:n_finite]).min(initial=0.0)
+    n2 = 2 * mats.n_modes
+    chunk = math.isqrt(max(steps - 1, 0)) + 1
+    powers = expm(_forward_flow_matrix(mats)
+                  * (dt * np.arange(1, chunk + 1))[:, None, None])
+    covs = np.empty((steps + 1, n2, n2))
+    covs[0] = cov
+    anchor = np.vstack([covs[0], np.eye(n2)])
+    # a bad initial covariance is named below, not warned about here
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j0 in range(0, steps, chunk):
+            c = min(chunk, steps - j0)
+            xy = powers[:c] @ anchor
+            try:
+                v = np.linalg.solve(xy[:, n2:].transpose(0, 2, 1),
+                                    xy[:, :n2].transpose(0, 2, 1))
+            except np.linalg.LinAlgError:   # a singular Y: V left the floats
+                v = np.full((c, n2, n2), np.nan)
+            block = covs[j0 + 1:j0 + c + 1]
+            np.add(v, v.transpose(0, 2, 1), out=block)
+            block *= 0.5
+            anchor[:n2] = block[-1]
+        gains = 2.0 * covs[:-1] @ mats.B.T - mats.S.T
+    # whichever happened first: positivity lost, or the flow left the floats;
+    # step j is bad when its gain or the covariance it reaches is not finite
+    finite = (np.isfinite(covs[1:]).all(axis=(1, 2))
+              & np.isfinite(gains).all(axis=(1, 2)))
+    n_finite = steps if finite.all() else int(np.argmin(finite))
+    wmin = np.linalg.eigvalsh(covs[1:n_finite + 1]).min(initial=0.0)
     if wmin < -1e-8:
         raise FilterDivergence(f"conditioned covariance eigenvalue {wmin:.2e}")
-    if n_finite < len(covs):
+    if n_finite < steps:
         raise RiccatiBlowup(f"forward covariance is non-finite from step "
                             f"{n_finite}")
     return gains, covs
@@ -259,11 +306,12 @@ def forward_covariance_flow(mats: KalmanMatrices, cov: np.ndarray,
 
 def forward_filter(mats: KalmanMatrices, mean: np.ndarray, cov: np.ndarray,
                    record: MeasurementRecord):
-    """Conditioned Gaussian moments along a record (explicit Euler).
+    """Conditioned Gaussian moments along a record: the means by the Ito
+    (explicit Euler) step, the covariances by the exact
+    :func:`forward_covariance_flow`.
 
     Returns (means, covs) with shapes (steps+1, 2N) and (steps+1, 2N, 2N);
-    entry 0 is the initial condition.  The covariance flow is
-    :func:`forward_covariance_flow`.
+    entry 0 is the initial condition.
     """
     dt = record.dt
     gains, covs = forward_covariance_flow(mats, cov, dt, record.steps)

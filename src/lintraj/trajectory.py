@@ -7,6 +7,7 @@ blocks evaluated at ``t = j dt``.  All sums follow the Ito convention.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -33,6 +34,9 @@ _SCAN_BLOCK = 8
 # budgeted as 16k records each: a few MB of temporaries, large enough that
 # each group is a handful of GEMM stacks
 _STREAM_CHUNK = 2 ** 16
+# noise buffers of the conditioned sampler: the caller draws into one while
+# its stepping thread advances the means over the chunk before it
+_NOISE_RING = 3
 # rows per formatted block of record_to_csv: ~0.3 MB of transient Python
 # floats and text at 2L = 4, far below the peak memory of any command
 _CSV_BLOCK = 1024
@@ -123,22 +127,32 @@ def sample_conditioned_record_gaussian(spec: SystemSpec, mean: np.ndarray,
 
     Runs the forward conditioned filter: y dt = 2 B xbar dt + dw with
     dw = sqrt(dt) xi, xi ~ Normal(0, 1) on the k monitored components, over
-    the record-independent covariance flow
-    :func:`~lintraj.adjoint_kalman.forward_covariance_flow`.  With ``n_traj``
-    set, returns the (n_traj, steps, 2L) records sharing that flow;
-    otherwise a single MeasurementRecord.  Either is a view of one zeroed
-    (steps, records) plane per current column.
+    the exact record-independent covariance flow
+    :func:`~lintraj.adjoint_kalman.forward_covariance_flow`; the mean
+    recursion is the Ito (Euler) step the record integrals assume.  With
+    ``n_traj`` set, returns the (n_traj, steps, 2L) records sharing that
+    flow; otherwise a single MeasurementRecord.  Either is a view of one
+    zeroed (steps, records) plane per current column.
 
     The gains are record-independent, so each step advances every record's
     z = [xbar | xi] with one product, xbar <- z [[1 + A^T dt]; sqrt(dt) G^T],
     G the gain's monitored columns.  The noise is drawn a chunk of steps at a
     time: one ``standard_normal`` of (steps, records, k) is the same numbers,
-    in the same order, as one draw of (records, k) per step.  A chunk's
-    currents are one product z [[2 B^T]; 1 / sqrt(dt)] written to the
-    monitored planes only.  The unmonitored planes are never written, so
-    their pages are never touched: at 1000 optomech records of 2000 steps,
-    4 of the record's 6 planes (64 of 96 MB) never become resident.  A
-    chunk spans about ``_STREAM_CHUNK`` entries of z.
+    in the same order, as one draw of (records, k) per step.  The caller's
+    thread makes every draw, into a ring of ``_NOISE_RING`` buffers that
+    this call allocates, while one stepping thread per call advances the
+    means over the chunk drawn before; the generator releases the
+    interpreter lock while it fills a buffer, so drawing and stepping
+    overlap.  Where drawing is the longer task, as with many records, the
+    caller's thread waits only at the end.  The numbers, their
+    order and the generator's final state are those of drawing in line.
+    The stepping thread has ended when the call returns or raises, and an
+    exception it meets is raised again by the call.  A chunk's currents are
+    one product z [[2 B^T]; 1 / sqrt(dt)] written to the monitored planes
+    only.  The unmonitored planes are never written, so their pages are
+    never touched: at 1000 optomech records of 2000 steps, 4 of the
+    record's 6 planes (64 of 96 MB) never become resident.  A chunk spans
+    about ``_STREAM_CHUNK`` entries of z.
 
     DimensionMismatch for a mean that is not (2N,) or a cov that is not
     (2N, 2N).  ParameterOutOfRange for a complex or non-finite mean or cov,
@@ -174,19 +188,67 @@ def sample_conditioned_record_gaussian(spec: SystemSpec, mean: np.ndarray,
     emit = np.vstack([2.0 * mats.B[cols].T, np.eye(k) / np.sqrt(dt)])
     planes = np.zeros((2 * spec.n_channels, steps, m_traj))
     chunk = min(steps, max(1, _STREAM_CHUNK // (m_traj * (n2 + k))))
+    starts = range(0, steps, chunk)
     z = np.empty((chunk + 1, m_traj, n2 + k))
     z[0, :, :n2] = mean
-    for j0 in range(0, steps, chunk):
-        c = min(chunk, steps - j0)
-        z[:c, :, n2:] = rng.standard_normal(size=(c, m_traj, k))
-        for i in range(c):
-            np.matmul(z[i], step[j0 + i], out=z[i + 1, :, :n2])
-        planes[cols, j0:j0 + c] = (z[:c] @ emit).transpose(2, 0, 1)
-        z[0, :, :n2] = z[c, :, :n2]
+    ring = np.empty((_NOISE_RING, chunk, m_traj, k))
+    currents = np.empty((chunk, m_traj, k))
+    # a record's k draws of one step as one item, so that filling z moves
+    # whole rows: several times faster than an element-wise strided copy
+    row = np.dtype((np.void, 8 * k))
+    free, full = threading.Semaphore(_NOISE_RING), threading.Semaphore(0)
+    stop, failure = threading.Event(), []
+
+    def advance():
+        # steps each chunk the caller has drawn; it allocates no array
+        try:
+            for n, j0 in enumerate(starts):
+                full.acquire()
+                if stop.is_set():
+                    return
+                c = min(chunk, steps - j0)
+                noise = ring[n % _NOISE_RING, :c]
+                z[:c, :, n2:].view(row)[...] = noise.view(row)
+                free.release()
+                _step_means(z, step[j0:j0 + c])
+                np.matmul(z[:c], emit, out=currents[:c])
+                planes[cols, j0:j0 + c] = currents[:c].transpose(2, 0, 1)
+                z[0, :, :n2] = z[c, :, :n2]
+        except BaseException as exc:     # raised again by the caller's thread
+            failure.append(exc)
+            free.release()
+
+    stepper = threading.Thread(target=advance, name="lintraj-means",
+                               daemon=True)
+    stepper.start()
+    try:
+        for n, j0 in enumerate(starts):
+            free.acquire()
+            if failure:
+                break
+            rng.standard_normal(out=ring[n % _NOISE_RING,
+                                         :min(chunk, steps - j0)])
+            full.release()
+    except BaseException:
+        stop.set()
+        full.release()          # wakes a stepper that waits for a chunk
+        raise
+    finally:
+        stepper.join()
+    if failure:
+        raise failure[0]
     y_out = planes.transpose(2, 1, 0)
     if n_traj is None:
         return MeasurementRecord(dt=dt, y=y_out[0])
     return y_out
+
+
+def _step_means(z: np.ndarray, step: np.ndarray) -> None:
+    """Advance the conditioned sampler's states z = [xbar | xi] over one
+    chunk: xbar of row i + 1 is z[i] @ step[i]."""
+    n2 = step.shape[-1]
+    for i in range(len(step)):
+        np.matmul(z[i], step[i], out=z[i + 1, :, :n2])
 
 
 class BlockTable:
@@ -313,7 +375,9 @@ def accumulate_integrals_ensemble(table: BlockTable, couplings: NoiseCouplings,
     r' (the running R') and h are carried across groups, so no
     (n_traj, steps, 2N) array, per-step kernel array or all-grid M is ever
     formed.  The record is read a group of steps at a time, in any memory
-    layout: the sampler's column planes or a C-order array.
+    layout: the sampler's column planes or a C-order array.  Each group's
+    gathered columns, block sums, running sums and y_c M_c are the leading
+    part of a workspace allocated once per call.
     """
     y = checked_currents(y, couplings.W_l.shape[0])
     n_traj, steps = y.shape[:2]
@@ -336,12 +400,24 @@ def accumulate_integrals_ensemble(table: BlockTable, couplings: NoiseCouplings,
     totals = np.zeros((n_traj, 2 * m), dtype=complex)      # [l' | r'] so far
     h = np.zeros(n_traj, dtype=complex)
     per_group = max(1, _STREAM_CHUNK // (b * max(1, n_traj + 16 * k)))
+    # the largest group's record columns (step-major, records fastest),
+    # block sums, their running sums and y_c M_c, each allocated once; a
+    # group takes the leading part of each
+    size = min(per_group, n_blocks) * b
+    part_ws = np.empty((size, k, n_traj))
+    sums_ws = np.empty(size // b * n_traj * 2 * m, dtype=complex)
+    run_ws = np.empty_like(sums_ws)
+    quad_ws = np.empty(size * n_traj * 2 * k)
     for c0 in range(0, n_blocks, per_group):
         g = min(per_group, n_blocks - c0)
         j0, j1 = c0 * b, (c0 + g) * b
-        # steps past the grid's end repeat the last sample against zero kernels
-        t_idx = np.minimum(np.arange(j0, j1), steps - 1)[:, None]
-        part = y[:, t_idx, cols].reshape(n_traj, g, b * k)
+        n = min(j1, steps) - j0
+        part = part_ws[:g * b]
+        np.copyto(part[:n].transpose(1, 0, 2), y[:, j0:j0 + n].T[cols])
+        # steps past the grid's end repeat the last sample against zero
+        # kernels
+        part[n:] = part[n - 1]
+        part = part.transpose(2, 0, 1).reshape(n_traj, g, b * k)
         slab = part.transpose(1, 0, 2)
         # [KL | KR] of the group's steps: one product of the fold with each
         # base the group reaches, zero past the last step
@@ -355,12 +431,22 @@ def accumulate_integrals_ensemble(table: BlockTable, couplings: NoiseCouplings,
         m_c = kern[..., :m] @ kern[..., m:].transpose(0, 2, 1) * weights
         # real slabs times the real view of the complex kernels: each product
         # row reads back as the complex block sums [dl'_c | dr'_c]
-        sums = np.matmul(slab, kern.view(float)).view(complex)
+        sums = sums_ws[:g * n_traj * 2 * m].reshape(g, n_traj, 2 * m)
+        np.matmul(slab, kern.view(float), out=sums.view(float))
         # y_c M_c, stored record-major: each record's sum of y_c M_c y_c^T
         # over the group is then one row-times-matrix product
-        quad = np.empty((n_traj, g, 2 * b * k))
+        quad = quad_ws[:n_traj * g * 2 * b * k].reshape(n_traj, g, 2 * b * k)
         np.matmul(slab, m_c.view(float), out=quad.transpose(1, 0, 2))
-        run = np.cumsum(sums, axis=0)          # [l' | r'] since block c0
+        # [l' | r'] since block c0.  cumsum along the first axis runs one
+        # inner loop per record and column, so with many records adding
+        # block by block is faster; both add in the same order
+        run = run_ws[:g * n_traj * 2 * m].reshape(sums.shape)
+        if 16 * g < n_traj * 2 * m:
+            run[0] = sums[0]
+            for c in range(1, g):
+                np.add(run[c - 1], sums[c], out=run[c])
+        else:
+            np.cumsum(sums, axis=0, out=run)
         h += (np.matmul(part.reshape(n_traj, 1, g * b * k),
                         quad.reshape(n_traj, g * b * k, 2)).view(complex)[:, 0, 0]
               + np.einsum("gsm,gsm->s", sums[1:, :, :m], run[:-1, :, m:])

@@ -9,7 +9,7 @@ import pytest
 from mpmath import mp
 from scipy.linalg import expm
 
-from lintraj import _linalg
+from lintraj import _linalg, trajectory
 from lintraj.adjoint_kalman import (
     INFO_FLOOR,
     EffectMoments,
@@ -209,6 +209,54 @@ def einsum_accumulation(table, couplings, y):
     return l_prime, r_prime, h
 
 
+def fresh_group_accumulation(table, couplings, y):
+    """Test oracle for ``accumulate_integrals_ensemble`` at the bit level:
+    the same blocked scan, each group's record columns gathered by one
+    broadcast fancy index (steps past the grid's end clipped to the last
+    sample), its block sums, y_c M_c and running sums fresh arrays, the
+    running sums a cumsum.  Returns (l', r', h)."""
+    m = 2 * table.n_modes
+    cols = np.flatnonzero(np.any(couplings.W_l != 0, axis=1)
+                          | np.any(couplings.W_r != 0, axis=1))
+    n_traj, steps = y.shape[:2]
+    k, b = len(cols), trajectory._SCAN_BLOCK
+    n_blocks = -(-steps // b)
+    chunk, n_bases = len(table.powers), len(table.bases)
+    fold = table.dt * (np.hstack([couplings.W_l[cols], couplings.W_r[cols, ::-1]])
+                       @ table.powers).reshape(chunk * k, 2 * m)
+    flip_right = np.r_[:m, 2 * m - 1:m - 1:-1]
+    step_of = np.repeat(np.arange(b), k)
+    weights = (step_of[:, None] > step_of) + 0.5 * (step_of[:, None] == step_of)
+    totals = np.zeros((n_traj, 2 * m), dtype=complex)
+    h = np.zeros(n_traj, dtype=complex)
+    per_group = max(1, trajectory._STREAM_CHUNK // (b * max(1, n_traj + 16 * k)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c0 in range(0, n_blocks, per_group):
+            g = min(per_group, n_blocks - c0)
+            j0, j1 = c0 * b, (c0 + g) * b
+            t_idx = np.minimum(np.arange(j0, j1), steps - 1)[:, None]
+            part = y[:, t_idx, cols].reshape(n_traj, g, b * k)
+            slab = part.transpose(1, 0, 2)
+            q0, q1 = j0 // chunk, min(-(-j1 // chunk), n_bases)
+            kern = np.zeros((max((q1 - q0) * chunk, j1 - q0 * chunk), k, 2 * m),
+                            dtype=complex)
+            np.matmul(fold, table.bases[q0:q1][..., flip_right],
+                      out=kern[:(q1 - q0) * chunk].reshape(q1 - q0, chunk * k, 2 * m))
+            kern[steps - q0 * chunk:] = 0.0
+            kern = kern[j0 - q0 * chunk:j1 - q0 * chunk].reshape(g, b * k, 2 * m)
+            m_c = kern[..., :m] @ kern[..., m:].transpose(0, 2, 1) * weights
+            sums = np.matmul(slab, kern.view(float)).view(complex)
+            quad = np.empty((n_traj, g, 2 * b * k))
+            np.matmul(slab, m_c.view(float), out=quad.transpose(1, 0, 2))
+            run = np.cumsum(sums, axis=0)
+            h += (np.matmul(part.reshape(n_traj, 1, g * b * k),
+                            quad.reshape(n_traj, g * b * k, 2)).view(complex)[:, 0, 0]
+                  + np.einsum("gsm,gsm->s", sums[1:, :, :m], run[:-1, :, m:])
+                  + (run[-1, :, :m] * totals[:, m:]).sum(axis=1))
+            totals += run[-1]
+    return totals[:, :m], totals[:, m:], h
+
+
 def euler_backward(mats, record):
     """Test oracle for ``integrate_backward``: the explicit-Euler information
     filter for (z, Lambda), stepped back over the record from a flat effect.
@@ -337,25 +385,64 @@ def mp_backward_sweep(mats, record, n_samples):
     return np.array(xs), z
 
 
+def forward_riccati_matrix(mats):
+    """[[A~, Cm], [4 B^T B, -A~^T]] with A~ = A + 2 S^T B and Cm = E - S^T S:
+    the linearized forward Riccati dV/dt = A~ V + V A~^T + Cm - V 4 B^T B V,
+    assembled from the Kalman matrices."""
+    a_t = mats.A + 2.0 * mats.S.T @ mats.B
+    return np.block([[a_t, mats.E - mats.S.T @ mats.S],
+                     [4.0 * mats.B.T @ mats.B, -a_t.T]])
+
+
+def exact_forward_covariances(mats, cov, dt, steps):
+    """Test oracle for ``forward_covariance_flow``: V(j dt) = X Y^{-1} with
+    [X; Y] = expm(M j dt) [V(0); 1], each step its own scipy exponential
+    from t = 0 (never re-anchored, so for short horizons only), symmetrized.
+    Returns the (steps+1, 2N, 2N) covariances."""
+    n2 = len(cov)
+    M = forward_riccati_matrix(mats)
+    start = np.vstack([cov, np.eye(n2)])
+    covs = np.empty((steps + 1, n2, n2))
+    for j in range(steps + 1):
+        xy = expm(M * (j * dt)) @ start
+        v = np.linalg.solve(xy[n2:].T, xy[:n2].T)
+        covs[j] = (v + v.T) / 2
+    return covs
+
+
+def mp_forward_covariance(mats, cov, t, dps=30):
+    """V(t) of the forward Riccati flow at ``dps`` digits: X Y^{-1} with
+    [X; Y] = expm(M t) [V(0); 1] in mpmath, rounded to floats."""
+    n2 = len(cov)
+    with mp.workdps(dps):
+        P = mp.expm(mp.matrix(forward_riccati_matrix(mats).tolist())
+                    * mp.mpf(t))
+        xy = P * mp.matrix(np.vstack([cov, np.eye(n2)]).tolist())
+        V = xy[:n2, :] * xy[n2:, :] ** -1
+        return np.array([[float(V[i, j]) for j in range(n2)]
+                         for i in range(n2)])
+
+
 def loop_conditioned_records(spec, mean, cov, dt, t_final, rng, n_traj=None):
     """Test oracle for ``sample_conditioned_record_gaussian``: the forward
-    filter with the covariance stepped inside the per-step draw loop (one
-    ``rng.normal(size=(n_traj, monitored))`` per step).  Returns the
+    filter stepped inside the per-step draw loop (one
+    ``rng.normal(size=(n_traj, monitored))`` per step), with each step's
+    gain from :func:`exact_forward_covariances`.  Returns the
     (n_traj or 1, steps, 2L) currents."""
     steps = int(round(t_final / dt))
     mats = kalman_matrices(spec)
     mask = spec.monitored
     m_traj = 1 if n_traj is None else n_traj
     xbar = np.tile(np.asarray(mean, dtype=float), (m_traj, 1))
-    V = np.asarray(cov, dtype=float).copy()
+    covs = exact_forward_covariances(mats, np.asarray(cov, dtype=float), dt,
+                                     steps)
     y_out = np.zeros((m_traj, steps, 2 * spec.n_channels))
     for j in range(steps):
-        gain = 2.0 * V @ mats.B.T - mats.S.T
+        gain = 2.0 * covs[j] @ mats.B.T - mats.S.T
         dw = np.zeros((m_traj, 2 * spec.n_channels))
         dw[:, mask] = rng.normal(size=(m_traj, int(mask.sum()))) * np.sqrt(dt)
         y_out[:, j, :] = (xbar @ (2.0 * mats.B).T * dt + dw) / dt
         xbar = xbar + xbar @ mats.A.T * dt + dw @ gain.T
-        V = V + dt * (mats.A @ V + V @ mats.A.T + mats.E - gain @ gain.T)
     return y_out
 
 

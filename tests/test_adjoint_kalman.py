@@ -7,14 +7,20 @@ from conftest import (
     euler_backward,
     inverse_backward_sweep,
     mp_backward_sweep,
+    mp_forward_covariance,
     random_spec,
 )
-from scipy.linalg import expm
+from scipy.linalg import (
+    expm,
+    solve_continuous_are,
+    solve_continuous_lyapunov,
+)
 
 from lintraj.adjoint_kalman import (
     _riccati_flow_matrix,
     backward_sweep,
     crosscheck_against_povm,
+    forward_covariance_flow,
     forward_filter,
     integrate_backward,
     kalman_matrices,
@@ -185,15 +191,53 @@ def test_forward_covariance_record_independent():
 
 
 def test_forward_unmonitored_follows_lyapunov_flow():
+    # without measurement the flow is the Lyapunov flow, whose exact solution
+    # is V(t) = V_inf + e^(At) (V(0) - V_inf) e^(A^T t), A V_inf + V_inf A^T = -E
     spec = builtin_homodyne_thermal(1.0, 0.5, 0.0)
     mats = kalman_matrices(spec)
     steps = 400
     rec = MeasurementRecord(dt=1e-3, y=np.zeros((steps, 4)))
     _, covs = forward_filter(mats, np.zeros(2), 0.5 * np.eye(2), rec)
-    V = 0.5 * np.eye(2)
-    for _ in range(steps):
-        V = V + 1e-3 * (mats.A @ V + V @ mats.A.T + mats.E)
-    assert np.abs(covs[-1] - V).max() < 1e-12
+    v_inf = solve_continuous_lyapunov(mats.A, -mats.E)
+    for j in (1, 21, 22, 399, 400):
+        prop = expm(mats.A * (j * 1e-3))
+        want = v_inf + prop @ (0.5 * np.eye(2) - v_inf) @ prop.T
+        assert np.abs(covs[j] - want).max() < 1e-12
+
+
+_FORWARD_SPECS = {
+    "homodyne": lambda: builtin_homodyne_thermal(1.0, 0.6, 0.7),
+    "optomech": lambda: builtin_optomech_squeezing(*OPTOMECH),
+    "random N=2": lambda: random_spec(2, 2, np.random.default_rng(11)),
+}
+
+
+@pytest.mark.parametrize("system", list(_FORWARD_SPECS))
+def test_forward_flow_matches_30_digit_flow(system):
+    # 2000 steps are 45 blocks of 45 (the last of 20): samples at the first
+    # step, both sides of the first re-anchoring, mid-grid and the end
+    spec = _FORWARD_SPECS[system]()
+    mats = kalman_matrices(spec)
+    cov0 = 0.5 * np.eye(2 * spec.n_modes)
+    _, covs = forward_covariance_flow(mats, cov0, 1e-3, 2000)
+    for j in (1, 45, 46, 777, 2000):
+        want = mp_forward_covariance(mats, cov0, f"{j}e-3")
+        assert np.abs(covs[j] - want).max() < 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_forward_flow_stays_finite_over_a_long_grid():
+    # t = 1000 at dt 1e-2: an unanchored exp(M t) leaves the floats near
+    # lambda_max t ~ 709, the anchored flow ends at the stabilizing solution
+    # of the algebraic Riccati equation A~ V + V A~^T + Cm - V 4 B^T B V = 0
+    spec = builtin_optomech_squeezing(*OPTOMECH)
+    mats = kalman_matrices(spec)
+    gains, covs = forward_covariance_flow(mats, 0.5 * np.eye(2), 1e-2, 100_000)
+    assert np.isfinite(gains).all() and np.isfinite(covs).all()
+    a_t = mats.A + 2.0 * mats.S.T @ mats.B
+    want = solve_continuous_are(a_t.T, 2.0 * mats.B.T,
+                                mats.E - mats.S.T @ mats.S,
+                                np.eye(mats.B.shape[0]))
+    assert np.abs(covs[-1] - want).max() < 1e-12
 
 
 def _homodyne_effect_and_moments(gamma, K, eta, t, seed):
@@ -378,24 +422,29 @@ def test_backward_sweep_rejects_non_finite_record():
 
 
 def test_forward_flow_raises_riccati_blowup():
+    # both initial covariances are finite.  From 1.7e308 I the flow itself
+    # overflows; from diag(1e308, 0.5) every covariance stays finite and
+    # only the first gain 2 V B^T does not.  The products run under errstate,
+    # so -W error still sees the named error
     spec = builtin_homodyne_thermal(1.0, 0.3, 0.7)
     mats = kalman_matrices(spec)
-    cov = 1e200 * np.eye(2)
     rec = sample_ostensible_record(spec, 1e-3, 0.1, seed=1)
-    with pytest.raises(RiccatiBlowup):
-        forward_filter(mats, np.zeros(2), cov, rec)
-    with pytest.raises(RiccatiBlowup):
-        sample_conditioned_record_gaussian(spec, np.zeros(2), cov, 1e-3, 0.1,
-                                           n_traj=3)
+    for cov in (1.7e308 * np.eye(2), np.diag([1e308, 0.5])):
+        with pytest.raises(RiccatiBlowup, match="non-finite from step 0"):
+            forward_filter(mats, np.zeros(2), cov, rec)
+        with pytest.raises(RiccatiBlowup, match="non-finite from step 0"):
+            sample_conditioned_record_gaussian(spec, np.zeros(2), cov, 1e-3,
+                                               0.1, n_traj=3)
 
 
 def test_forward_flow_raises_filter_divergence():
-    # one Euler step this long drives V_xx = 10 below zero
+    # an indefinite initial covariance: the unmonitored V_pp = -0.5 relaxes
+    # towards +0.5 at rate gamma, so it reads -0.499 after one step
     spec = builtin_homodyne_thermal(1.0, 0.3, 0.7)
     mats = kalman_matrices(spec)
-    cov = 10.0 * np.eye(2)
-    rec = sample_ostensible_record(spec, 0.5, 1.0, seed=1)
-    with pytest.raises(FilterDivergence):
+    cov = np.diag([1.0, -0.5])
+    rec = sample_ostensible_record(spec, 1e-3, 0.1, seed=1)
+    with pytest.raises(FilterDivergence, match="-4.99e-01"):
         forward_filter(mats, np.zeros(2), cov, rec)
-    with pytest.raises(FilterDivergence):
-        sample_conditioned_record_gaussian(spec, np.zeros(2), cov, 0.5, 1.0)
+    with pytest.raises(FilterDivergence, match="-4.99e-01"):
+        sample_conditioned_record_gaussian(spec, np.zeros(2), cov, 1e-3, 0.1)

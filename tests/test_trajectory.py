@@ -4,6 +4,8 @@ import io
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -13,6 +15,7 @@ import pytest
 from conftest import (
     block_table_residual,
     einsum_accumulation,
+    fresh_group_accumulation,
     loop_conditioned_records,
     random_spec,
     two_damped_modes,
@@ -471,6 +474,135 @@ def test_conditioned_records_match_per_step_loop(monkeypatch, system, n_traj,
     assert rng.standard_normal() == oracle_rng.standard_normal()
 
 
+def test_conditioned_sampler_without_monitored_currents():
+    # eta = 0: no current is monitored, nothing is drawn and every record is
+    # zero
+    spec = builtin_homodyne_thermal(1.0, 0.5, 0.0)
+    rng = np.random.default_rng(3)
+    y = sample_conditioned_record_gaussian(spec, np.array([0.4, 0.1]),
+                                           0.5 * np.eye(2), 1e-3, 0.1,
+                                           rng=rng, n_traj=3)
+    assert y.shape == (3, 100, 4) and not y.any()
+    assert rng.standard_normal() == np.random.default_rng(3).standard_normal()
+
+
+def _start_bounded(call, seconds=120):
+    """Start call() on a helper thread.  The returned function joins it with
+    a timeout, fails if the call is still running, and gives
+    {"value": result} or {"error": exception}."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except Exception as exc:
+            outcome["error"] = exc
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+
+    def result():
+        runner.join(seconds)
+        assert not runner.is_alive(), "the call did not return"
+        return outcome
+
+    return result
+
+
+def _run_bounded(call):
+    return _start_bounded(call)()
+
+
+class _DrawError(RuntimeError):
+    pass
+
+
+class _FailingGenerator:
+    """A generator whose ``fail_on``-th ``standard_normal`` raises (none
+    when ``fail_on`` is None), after a pause in which the sampler's stepping
+    thread finishes the chunks drawn before and waits for the next."""
+
+    def __init__(self, fail_on):
+        self.rng, self.fail_on, self.calls = np.random.default_rng(1), fail_on, 0
+
+    def standard_normal(self, **kwargs):
+        self.calls += 1
+        if self.calls == self.fail_on:
+            time.sleep(0.05)
+            raise _DrawError(f"draw {self.calls}")
+        return self.rng.standard_normal(**kwargs)
+
+
+def _sampler_call(monkeypatch, chunk_steps, n_traj=7, rng=None, seed=5):
+    """A homodyne sampler call of 500 steps in chunks of ``chunk_steps``."""
+    spec, mean0 = _CONDITIONED_SYSTEMS["homodyne"]()
+    monkeypatch.setattr(trajectory, "_STREAM_CHUNK",
+                        chunk_steps * n_traj * (2 + 1))
+    return lambda: sample_conditioned_record_gaussian(
+        spec, mean0, 0.5 * np.eye(2), 1e-3, 0.5, seed=seed, rng=rng,
+        n_traj=n_traj)
+
+
+def test_sampler_thread_ends_with_a_multi_chunk_call(monkeypatch):
+    before = threading.active_count()
+    outcome = _run_bounded(_sampler_call(monkeypatch, chunk_steps=10))
+    assert outcome["value"].shape == (7, 500, 4)
+    assert threading.active_count() == before
+
+
+def test_sampler_raises_the_generators_exception(monkeypatch):
+    # the second chunk's draw raises: the call raises that exception, draws
+    # nothing more and leaves no thread behind
+    before = threading.active_count()
+    rng = _FailingGenerator(fail_on=2)
+    outcome = _run_bounded(_sampler_call(monkeypatch, chunk_steps=10, rng=rng))
+    assert isinstance(outcome["error"], _DrawError)
+    assert str(outcome["error"]) == "draw 2" and rng.calls == 2
+    assert threading.active_count() == before
+
+
+def test_sampler_raises_what_its_stepping_thread_raises(monkeypatch):
+    # the first chunk step raises once the caller has filled every free
+    # buffer and waits for another: the call raises that exception and
+    # leaves no thread behind
+    before = threading.active_count()
+    rng = _FailingGenerator(fail_on=None)
+    call = _sampler_call(monkeypatch, chunk_steps=10, rng=rng)
+    filled = trajectory._NOISE_RING + 1    # the ring, and chunk 0's buffer
+
+    def step_fails(z, step):
+        deadline = time.monotonic() + 60
+        while rng.calls < filled and time.monotonic() < deadline:
+            time.sleep(1e-3)
+        time.sleep(0.05)
+        raise _DrawError("chunk step")
+
+    monkeypatch.setattr(trajectory, "_step_means", step_fails)
+    outcome = _run_bounded(call)
+    assert str(outcome["error"]) == "chunk step"
+    assert rng.calls == filled
+    assert threading.active_count() == before
+
+
+def test_sampler_records_survive_thread_switches_every_microsecond(monkeypatch):
+    # four callers on two cores, 100 chunks each, the interpreter switching
+    # threads every microsecond: a buffer read before it is filled, or
+    # refilled before it is read, would change the records
+    calls = {seed: _sampler_call(monkeypatch, chunk_steps=5, seed=seed)
+             for seed in range(4)}
+    want = {seed: call() for seed, call in calls.items()}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [_start_bounded(call) for call in calls.values()]
+        got = {seed: run() for seed, run in zip(calls, runs)}
+    finally:
+        sys.setswitchinterval(interval)
+    for seed in calls:
+        assert "error" not in got[seed], got[seed]
+        assert np.array_equal(got[seed]["value"], want[seed])
+
+
 _SAMPLER_RSS = """
 import resource, sys
 import numpy as np
@@ -515,6 +647,25 @@ def test_accumulation_is_bitwise_the_same_in_every_layout():
     for y in (planes, time_major):
         for got, ref in zip(accumulate_integrals_ensemble(table, nc, y), want):
             assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("steps", [203, 1001])
+@pytest.mark.parametrize("n_traj", [1, 7, 500])
+def test_accumulation_is_bitwise_the_fresh_group_route(n_traj, steps):
+    # workspaces, the step-slice gather, the explicit padding of the last
+    # group (neither grid is a whole number of 8-step blocks) and the
+    # block-by-block running sums change no bit, in C order or column planes
+    spec, _ = _CONDITIONED_SYSTEMS["optomech"]()
+    rng = np.random.default_rng(n_traj * steps)
+    y = 30.0 * rng.standard_normal((n_traj, steps, 6))
+    planes = np.ascontiguousarray(y.transpose(2, 1, 0)).transpose(2, 1, 0)
+    table = BlockTable(rep_of_generator(compute_generator(spec)), 1e-3, steps)
+    nc = compute_noise_couplings(spec)
+    want = fresh_group_accumulation(table, nc, y)
+    for records in (y, planes):
+        got = accumulate_integrals_ensemble(table, nc, records)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 def test_conditioned_sampler_memory_stays_within_output():
